@@ -27,10 +27,9 @@ fmt:
 # any worker count, traced overhead/ring drops, or a missing parallel
 # speedup on machines with the cores to show one. -baseline
 # additionally fails on a >15% serial Fig. 4 ns/cycle regression
-# against the committed PR8 report; -prelayout embeds the old-layout
-# A/B comparison.
+# against the committed PR8 report.
 bench:
-	$(GO) run ./cmd/bench -strict -o BENCH_PR10.json -baseline BENCH_PR8.json -prelayout BENCH_PR10_OLDLAYOUT.json
+	$(GO) run ./cmd/bench -strict -o BENCH_PR10.json -baseline BENCH_PR8.json
 
 # bench-quick is the CI smoke variant: shorter windows, same gates
 # (large mesh runs 32x32 only).
@@ -41,4 +40,4 @@ bench-quick:
 # routers, minutes of runtime and gigabytes of heap. This is the
 # configuration the committed BENCH_PR10.json was generated with.
 bench-large:
-	$(GO) run ./cmd/bench -strict -large -o BENCH_PR10.json -baseline BENCH_PR8.json -prelayout BENCH_PR10_OLDLAYOUT.json
+	$(GO) run ./cmd/bench -strict -large -o BENCH_PR10.json -baseline BENCH_PR8.json

@@ -5,16 +5,14 @@
 // simulated cycle, cross-checks the serial-vs-parallel determinism
 // digests, measures parallel-executor scaling, runs the large-mesh
 // scaling matrix, and writes everything as one JSON document (schema
-// "tdmnoc-bench/v4" — v3 plus per-scenario resident-bytes reporting,
-// the "large_mesh" section and the optional "prelayout" comparison;
-// see README).
+// "tdmnoc-bench/v4" — v3 plus per-scenario resident-bytes reporting
+// and the "large_mesh" section; see README).
 //
 // Usage:
 //
 //	go run ./cmd/bench [-o BENCH_PR10.json] [-quick] [-strict] [-large]
 //	                   [-baseline BENCH_PR8.json] [-max-regression 0.15]
 //	                   [-trace-out trace.json]
-//	                   [-prelayout BENCH_PR10_OLDLAYOUT.json]
 //
 // The "large_mesh" section measures the hybrid-TDM tornado workload on
 // big meshes — 32x32 always, 64x64 in full runs, 128x128 only with
@@ -30,13 +28,6 @@
 // sections have churned gigabytes of heap, the big rows read up to
 // ~50% slower than the identical simulation in a clean process, which
 // is allocator history, not simulation cost.
-//
-// -prelayout embeds a committed pre-refactor measurement (the PR10
-// old-layout capture) and reports, per mesh size, the serial ns/cycle
-// and resident-bytes improvement plus whether the digests still match
-// bit-for-bit — the "same simulation, faster memory layout" evidence.
-// It is informational: the numbers were taken on one specific machine,
-// so -strict does not gate on them.
 //
 // -quick shortens the warmup/measure windows for CI smoke use.
 // -strict exits nonzero when the steady-state hot path allocates (any
@@ -99,7 +90,6 @@ type Report struct {
 	Digests    []DigestCheck    `json:"determinism"`
 	Parallel   []ParallelPoint  `json:"parallel"`
 	LargeMesh  []LargeMeshPoint `json:"large_mesh"`
-	Prelayout  *Prelayout       `json:"prelayout,omitempty"`
 }
 
 // LargeMeshPoint is one (mesh, worker-count) measurement of the
@@ -123,37 +113,6 @@ type LargeMeshPoint struct {
 	Digest        string `json:"digest,omitempty"`
 	DigestChecked bool   `json:"digest_checked"`
 	DigestMatch   bool   `json:"digest_match"`
-}
-
-// Prelayout embeds a pre-refactor measurement (captured at the last
-// per-router-heap-objects commit) next to this run's numbers.
-type Prelayout struct {
-	Source string           `json:"source"`
-	Note   string           `json:"note"`
-	Points []PrelayoutPoint `json:"points"`
-}
-
-// PrelayoutPoint compares one mesh size, serial, old layout vs new.
-type PrelayoutPoint struct {
-	Name   string `json:"name"`
-	Width  int    `json:"width"`
-	Height int    `json:"height"`
-
-	OldNsPerCycle float64 `json:"old_ns_per_cycle"`
-	NewNsPerCycle float64 `json:"new_ns_per_cycle"`
-	// NsImprovement is 1 - new/old: 0.20 = the new layout runs the same
-	// simulation in 20% less time per cycle.
-	NsImprovement    float64 `json:"ns_improvement"`
-	OldResidentBytes uint64  `json:"old_resident_bytes"`
-	NewResidentBytes uint64  `json:"new_resident_bytes"`
-	BytesImprovement float64 `json:"bytes_improvement"`
-
-	// Digest equality across the layouts: same windows, same seed, same
-	// checked-run shape — the refactor must not change a single bit of
-	// simulated state.
-	OldDigest   string `json:"old_digest,omitempty"`
-	NewDigest   string `json:"new_digest,omitempty"`
-	DigestMatch bool   `json:"digest_match"`
 }
 
 // ParallelPoint is one (mesh, worker-count) measurement of the parallel
@@ -667,12 +626,13 @@ type largeMeshSize struct {
 }
 
 // largeMeshSpec is the large-mesh workload: the same hybrid-TDM tornado
-// configuration (seed 7, rate 0.20) as the committed old-layout capture,
-// so the prelayout comparison is like for like. The injection rings are
-// pre-sized for the row's whole window — tornado at 0.20 over-saturates
-// these meshes, so the backlog ring would otherwise keep doubling
-// through the measured window (the one allocation source the pools
-// cannot absorb; ring capacity never changes results).
+// configuration (seed 7, rate 0.20) that the layout A/B frozen in
+// BENCH_PR10.json was measured on, so new rows stay comparable with it.
+// The injection rings are pre-sized for the row's whole window —
+// tornado at 0.20 over-saturates these meshes, so the backlog ring
+// would otherwise keep doubling through the measured window (the one
+// allocation source the pools cannot absorb; ring capacity never
+// changes results).
 func largeMeshSpec(sz largeMeshSize, workers int) spec {
 	const rate = 0.20
 	// Worst-case injection backlog per NI over the whole window: each NI
@@ -720,8 +680,7 @@ type largePointResp struct {
 // parallel sections have churned gigabytes of heap through the process:
 // measured in-process, the 64x64 serial row reads ~50% slower than the
 // identical run in a fresh process (GC pacing and allocator reuse, not
-// simulation cost). Fresh processes also match how the committed
-// old-layout baseline was captured, keeping the prelayout A/B fair.
+// simulation cost).
 var isolateLargePoints bool
 
 // runLargePoint measures one cell inline: the timing/footprint run,
@@ -811,58 +770,6 @@ func measureLargeMesh(sizes []largeMeshSize, workerSet []int) []LargeMeshPoint {
 		}
 	}
 	return out
-}
-
-// oldLayoutReport mirrors the committed old-layout capture's schema
-// ("tdmnoc-bench-oldlayout/v1": serial large-mesh points measured at
-// the last commit before the slab-layout refactor).
-type oldLayoutReport struct {
-	Schema    string `json:"schema"`
-	Note      string `json:"note"`
-	LargeMesh []struct {
-		Name          string  `json:"name"`
-		Width         int     `json:"width"`
-		Height        int     `json:"height"`
-		NsPerCycle    float64 `json:"ns_per_cycle"`
-		ResidentBytes uint64  `json:"resident_bytes"`
-		Digest        string  `json:"digest"`
-	} `json:"largemesh"`
-}
-
-// buildPrelayout joins the old-layout capture against this run's serial
-// large-mesh points by mesh size. Sizes present on only one side are
-// skipped (e.g. a quick run measures 32x32 only).
-func buildPrelayout(r Report, path string) (*Prelayout, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var old oldLayoutReport
-	if err := json.Unmarshal(raw, &old); err != nil {
-		return nil, fmt.Errorf("parsing %s: %v", path, err)
-	}
-	p := &Prelayout{Source: path, Note: old.Note}
-	for _, op := range old.LargeMesh {
-		for _, np := range r.LargeMesh {
-			if np.Workers != 1 || np.Width != op.Width || np.Height != op.Height {
-				continue
-			}
-			pp := PrelayoutPoint{
-				Name: op.Name, Width: op.Width, Height: op.Height,
-				OldNsPerCycle: op.NsPerCycle, NewNsPerCycle: np.NsPerCycle,
-				NsImprovement:    1 - np.NsPerCycle/op.NsPerCycle,
-				OldResidentBytes: op.ResidentBytes, NewResidentBytes: np.ResidentBytes,
-				BytesImprovement: 1 - float64(np.ResidentBytes)/float64(op.ResidentBytes),
-				OldDigest:        op.Digest, NewDigest: np.Digest,
-				DigestMatch: op.Digest != "" && op.Digest == np.Digest,
-			}
-			fmt.Printf("%-32s prelayout %11.1f -> %11.1f ns/cycle (%+.1f%%)  %7.1f -> %7.1f MB  digest_match=%v\n",
-				pp.Name, pp.OldNsPerCycle, pp.NewNsPerCycle, -100*pp.NsImprovement,
-				float64(pp.OldResidentBytes)/1e6, float64(pp.NewResidentBytes)/1e6, pp.DigestMatch)
-			p.Points = append(p.Points, pp)
-		}
-	}
-	return p, nil
 }
 
 // buildReport runs the whole suite. Split from main so the smoke test
@@ -1095,7 +1002,6 @@ func main() {
 	baseline := flag.String("baseline", "", "committed report to gate serial Fig. 4 ns/cycle regressions against")
 	maxRegress := flag.Float64("max-regression", 0.15, "allowed fractional ns/cycle regression vs -baseline")
 	traceOut := flag.String("trace-out", "", "write the merged Perfetto trace of the Workers=8 parity run to this file")
-	prelayout := flag.String("prelayout", "", "committed old-layout capture to embed a layout A/B comparison from")
 	largePoint := flag.String("large-point", "", "internal: measure the one large-mesh cell described by this JSON request and print the result JSON (per-point process isolation)")
 	flag.Parse()
 
@@ -1115,14 +1021,6 @@ func main() {
 	isolateLargePoints = true
 
 	r := buildReport(*quick, *large, *traceOut)
-	if *prelayout != "" {
-		p, err := buildPrelayout(r, *prelayout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		r.Prelayout = p
-	}
 	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)

@@ -2,8 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"math"
-	"os"
 	"testing"
 
 	"tdmnoc/hsnoc"
@@ -312,54 +310,6 @@ func TestStrictLargeMeshGates(t *testing.T) {
 	}}
 	if v := strictViolations(bad); len(v) != 2 {
 		t.Fatalf("violations = %v, want the alloc + digest entries", v)
-	}
-}
-
-// TestBuildPrelayout pins the old-layout join: points match by mesh
-// size against the serial row, improvements are fractional ("0.2 =
-// 20% faster / smaller"), and sizes missing from either side are
-// skipped rather than invented.
-func TestBuildPrelayout(t *testing.T) {
-	old := `{
-		"schema": "tdmnoc-bench-oldlayout/v1",
-		"note": "test capture",
-		"largemesh": [
-			{"name": "large-tdm-8x8-tornado-0.20", "width": 8, "height": 8,
-			 "ns_per_cycle": 1000, "resident_bytes": 4000, "digest": "0xabc"},
-			{"name": "large-tdm-16x16-tornado-0.20", "width": 16, "height": 16,
-			 "ns_per_cycle": 9000, "resident_bytes": 9000, "digest": "0xdef"}
-		]
-	}`
-	path := t.TempDir() + "/old.json"
-	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r := Report{LargeMesh: []LargeMeshPoint{
-		{Scenario: Scenario{Width: 8, Height: 8, NsPerCycle: 800, ResidentBytes: 1000}, Workers: 1, Digest: "0xabc"},
-		{Scenario: Scenario{Width: 8, Height: 8, NsPerCycle: 500, ResidentBytes: 1000}, Workers: 8, Digest: "0xabc"},
-	}}
-	p, err := buildPrelayout(r, path)
-	if err != nil {
-		t.Fatalf("buildPrelayout: %v", err)
-	}
-	if p.Note != "test capture" || p.Source != path {
-		t.Errorf("note/source = %q/%q", p.Note, p.Source)
-	}
-	if len(p.Points) != 1 {
-		t.Fatalf("points = %+v, want only the 8x8 join (16x16 has no new-layout row)", p.Points)
-	}
-	pp := p.Points[0]
-	if pp.NewNsPerCycle != 800 {
-		t.Errorf("joined the w=%d row? new ns/cycle = %v, want the serial 800", 8, pp.NewNsPerCycle)
-	}
-	if got, want := pp.NsImprovement, 0.2; math.Abs(got-want) > 1e-9 {
-		t.Errorf("ns improvement = %v, want %v", got, want)
-	}
-	if got, want := pp.BytesImprovement, 0.75; math.Abs(got-want) > 1e-9 {
-		t.Errorf("bytes improvement = %v, want %v", got, want)
-	}
-	if !pp.DigestMatch {
-		t.Error("matching digests reported as mismatch")
 	}
 }
 

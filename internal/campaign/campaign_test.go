@@ -398,6 +398,13 @@ func TestStoreSkipsTornLine(t *testing.T) {
 	if _, ok := store.Lookup("k1"); !ok {
 		t.Error("intact record lost")
 	}
+	onDisk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(onDisk) != good+"\n" {
+		t.Errorf("torn line not truncated: file is %q", onDisk)
+	}
 }
 
 // TestStoreLoadsOversizedRecord guards the ReadBytes-based reload: a

@@ -1,15 +1,11 @@
 package campaign
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 
+	"tdmnoc/internal/jsonl"
 	"tdmnoc/internal/policy"
 )
 
@@ -20,15 +16,14 @@ type profileLine struct {
 	Profile *policy.Profile `json:"profile"`
 }
 
-// ProfileStore persists extracted traffic profiles as append-only JSONL,
-// mirroring the result Store: profiles are pure functions of their jobs
-// (byte-identical at any worker count), so a cached profile is
-// interchangeable with a fresh extraction and an interrupted policy
+// ProfileStore persists extracted traffic profiles as an append-only
+// JSONL log, mirroring the result Store: profiles are pure functions of
+// their jobs (byte-identical at any worker count), so a cached profile
+// is interchangeable with a fresh extraction and an interrupted policy
 // campaign resumes its phase-A work. Keys are ProfileKey(job, every).
 type ProfileStore struct {
 	mu    sync.Mutex
-	f     *os.File
-	path  string
+	log   *jsonl.Log
 	cache map[string]*policy.Profile
 }
 
@@ -43,39 +38,23 @@ func ProfileKey(j Job, every int) string {
 // OpenProfileStore opens (creating if needed) the JSONL profile store
 // at path and loads its existing profiles.
 func OpenProfileStore(path string) (*ProfileStore, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	s := &ProfileStore{cache: map[string]*policy.Profile{}}
+	log, err := jsonl.Open(path, func(line []byte) error {
+		var p profileLine
+		if err := json.Unmarshal(line, &p); err != nil {
+			return err
+		}
+		if p.Key != "" && p.Profile != nil {
+			s.cache[p.Key] = p.Profile
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("campaign: open profile store: %w", err)
 	}
-	s := &ProfileStore{f: f, path: path, cache: map[string]*policy.Profile{}}
-	br := bufio.NewReader(f)
-	for {
-		line, rerr := br.ReadBytes('\n')
-		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
-			var p profileLine
-			switch jerr := json.Unmarshal(trimmed, &p); {
-			case jerr != nil && rerr == nil:
-				f.Close()
-				return nil, fmt.Errorf("campaign: profile store %s: corrupt line: %w", path, jerr)
-			case jerr != nil:
-				// Torn trailing line from a crash; its profile is re-extracted.
-			case p.Key != "" && p.Profile != nil:
-				s.cache[p.Key] = p.Profile
-			}
-		}
-		if rerr != nil {
-			if errors.Is(rerr, io.EOF) {
-				break
-			}
-			f.Close()
-			return nil, fmt.Errorf("campaign: read profile store %s: %w", path, rerr)
-		}
-	}
+	s.log = log
 	return s, nil
 }
-
-// Path returns the backing file path.
-func (s *ProfileStore) Path() string { return s.path }
 
 // Len is the number of cached profiles.
 func (s *ProfileStore) Len() int {
@@ -98,20 +77,12 @@ func (s *ProfileStore) Append(key string, p *policy.Profile) error {
 	if key == "" || p == nil {
 		return fmt.Errorf("campaign: refusing to persist empty profile")
 	}
-	b, err := json.Marshal(profileLine{Key: key, Profile: p})
-	if err != nil {
-		return fmt.Errorf("campaign: encode profile: %w", err)
-	}
-	b = append(b, '\n')
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.cache[key]; dup {
 		return nil
 	}
-	if s.f == nil {
-		return fmt.Errorf("campaign: profile store %s is closed", s.path)
-	}
-	if _, err := s.f.Write(b); err != nil {
+	if err := s.log.Append(profileLine{Key: key, Profile: p}); err != nil {
 		return fmt.Errorf("campaign: append profile: %w", err)
 	}
 	s.cache[key] = p
@@ -119,13 +90,4 @@ func (s *ProfileStore) Append(key string, p *policy.Profile) error {
 }
 
 // Close releases the backing file. Lookups keep working from memory.
-func (s *ProfileStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	err := s.f.Close()
-	s.f = nil
-	return err
-}
+func (s *ProfileStore) Close() error { return s.log.Close() }

@@ -18,9 +18,8 @@ const storeShards = 16
 
 // ShardedStore is the fleet-scale result store: a content-addressed
 // record cache fanned across storeShards append-only JSONL files by
-// key prefix. It generalizes Store — same durability contract per
-// shard file (append straight to the fd, torn trailers skipped on
-// reload, mid-file corruption fails loudly) — and adds the properties
+// key prefix. It generalizes Store — each shard file is a Store, with
+// the crash contract of internal/jsonl — and adds the properties
 // the distribution layer needs: duplicate-free appends (AppendNew per
 // key), streaming merge of sum-form records without materialising the
 // whole campaign, and per-shard compaction that reclaims dead lines
@@ -94,8 +93,8 @@ func (ss *ShardedStore) Len() int {
 	return n
 }
 
-// Dead is the total dead-line count across shards (duplicates + torn
-// trailers awaiting compaction).
+// Dead is the total dead-line count across shards (duplicates
+// awaiting compaction).
 func (ss *ShardedStore) Dead() int {
 	n := 0
 	for _, st := range ss.shards {

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -153,7 +154,8 @@ func TestShardedStoreRoutesAndReloads(t *testing.T) {
 }
 
 // TestShardedStoreSkipsTornTrailingLine: a crash mid-append leaves an
-// unterminated line in one shard file; reload drops just that record.
+// unterminated line in one shard file; reload drops just that record
+// and truncates the fragment off the file.
 func TestShardedStoreSkipsTornTrailingLine(t *testing.T) {
 	dir := t.TempDir()
 	ss, err := OpenShardedStore(dir)
@@ -164,6 +166,10 @@ func TestShardedStoreSkipsTornTrailingLine(t *testing.T) {
 	ss.Close()
 
 	shardPath := filepath.Join(dir, "shard-3.jsonl")
+	intact, err := os.ReadFile(shardPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, err := os.OpenFile(shardPath, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -181,8 +187,15 @@ func TestShardedStoreSkipsTornTrailingLine(t *testing.T) {
 	if reloaded.Len() != 32 {
 		t.Fatalf("Len = %d, want 32 (torn line skipped, not loaded)", reloaded.Len())
 	}
-	if reloaded.Dead() != 1 {
-		t.Fatalf("Dead = %d, want 1 (the torn line)", reloaded.Dead())
+	if reloaded.Dead() != 0 {
+		t.Fatalf("Dead = %d, want 0 (the torn line is truncated, not kept)", reloaded.Dead())
+	}
+	onDisk, err := os.ReadFile(shardPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(onDisk, intact) {
+		t.Fatalf("torn trailer not truncated:\ngot  %q\nwant %q", onDisk, intact)
 	}
 }
 

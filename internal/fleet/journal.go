@@ -13,16 +13,12 @@ package fleet
 // restored with fresh TTLs so workers that kept computing across the
 // restart renew and complete instead of being 410'd.
 //
-// Durability discipline mirrors campaign.Store: appends go straight to
-// the fd, one write per record. Fsync is batch-wise: transitions that
+// Durability discipline: the journal is an internal/jsonl log and
+// inherits its crash contract. Fsync is batch-wise: transitions that
 // must not be lost (submit, grant, complete, expire, drain, resume)
 // sync immediately, while renew records — harmless to lose, since
 // recovery refreshes every active lease's TTL anyway — ride along until
-// the next synced record or a 64-record backlog. On open, a torn
-// trailing line (a write cut short by a crash) is truncated away so the
-// next append starts on a clean line boundary; an unparseable
-// newline-terminated line mid-file means real corruption and fails the
-// open loudly rather than silently dropping transitions.
+// the next synced record or a 64-record backlog.
 //
 // Rotation bounds the file: once the journal outgrows rotateBytes, the
 // coordinator snapshots its live state into a fresh file (the snapshot
@@ -31,18 +27,15 @@ package fleet
 // last rotation, not to coordinator lifetime.
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 
 	"tdmnoc/internal/campaign"
+	"tdmnoc/internal/jsonl"
 )
 
 // Journal op codes, one per coordinator state transition.
@@ -132,15 +125,12 @@ type snapLease struct {
 	Worker   string `json:"worker,omitempty"`
 }
 
-// journal is the append side of the write-ahead log. It is not
-// self-locking for ordering purposes — the Coordinator serialises
-// appends under its own mutex so journal order equals transition order
-// — but keeps an internal mutex so metrics reads don't race the fd.
+// journal is the append side of the write-ahead log. Every method runs
+// under the Coordinator's mutex — appends so that journal order equals
+// transition order, stats under Metrics — which also guards the
+// counters; the log guards its own file.
 type journal struct {
-	mu       sync.Mutex
-	f        *os.File
-	path     string
-	size     int64
+	log      *jsonl.Log
 	rotateAt int64
 	unsynced int
 
@@ -148,94 +138,45 @@ type journal struct {
 	syncs     int64
 	rotations int64
 	errors    int64
-	truncated int64 // torn-trailer bytes dropped at open
 }
 
 // journalSyncBacklog bounds how many unsynced renew records may
 // accumulate before an fsync is forced anyway.
 const journalSyncBacklog = 64
 
-// openJournal opens (creating if needed) the journal at path, replays
-// its records into memory, truncates a torn trailing line, and returns
-// the append handle plus the parsed records. Mirroring the store's
-// contract, only a genuinely torn final line — unterminated, from a
-// write cut short by a crash — is dropped; an unparseable
-// newline-terminated line fails the open loudly.
+// openJournal opens (creating if needed) the journal at path and
+// returns the append handle plus the parsed records.
 func openJournal(path string, rotateAt int64) (*journal, []journalRecord, error) {
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, nil, fmt.Errorf("fleet: journal dir: %w", err)
 		}
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	var recs []journalRecord
+	log, err := jsonl.Open(path, func(line []byte) error {
+		var rec journalRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
+		}
+		recs = append(recs, rec)
+		return nil
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("fleet: open journal: %w", err)
 	}
-	j := &journal{f: f, path: path, rotateAt: rotateAt}
-	var recs []journalRecord
-	br := bufio.NewReader(f)
-	var offset, goodEnd int64
-	for {
-		line, rerr := br.ReadBytes('\n')
-		offset += int64(len(line))
-		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
-			var rec journalRecord
-			switch jerr := json.Unmarshal(trimmed, &rec); {
-			case jerr != nil && rerr == nil:
-				f.Close()
-				return nil, nil, fmt.Errorf("fleet: journal %s: corrupt record: %w", path, jerr)
-			case jerr != nil:
-				// Torn trailing line: the transition was never
-				// acknowledged, so dropping it is safe. Truncate below so
-				// the next append starts on a line boundary instead of
-				// extending the torn fragment into permanent corruption.
-			default:
-				recs = append(recs, rec)
-				goodEnd = offset
-			}
-		} else if rerr == nil {
-			goodEnd = offset
-		}
-		if rerr != nil {
-			if errors.Is(rerr, io.EOF) {
-				break
-			}
-			f.Close()
-			return nil, nil, fmt.Errorf("fleet: read journal %s: %w", path, rerr)
-		}
-	}
-	if goodEnd < offset {
-		if err := f.Truncate(goodEnd); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("fleet: truncate torn journal trailer: %w", err)
-		}
-		j.truncated = offset - goodEnd
-	}
-	j.size = goodEnd
-	return j, recs, nil
+	return &journal{log: log, rotateAt: rotateAt}, recs, nil
 }
 
 // append writes one record. sync forces an fsync; without it the record
 // rides until the next synced append or a journalSyncBacklog backlog.
 func (j *journal) append(rec journalRecord, sync bool) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("fleet: encode journal record: %w", err)
-	}
-	b = append(b, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("fleet: journal %s is closed", j.path)
-	}
-	if _, err := j.f.Write(b); err != nil {
+	if err := j.log.Append(rec); err != nil {
 		return fmt.Errorf("fleet: append journal record: %w", err)
 	}
-	j.size += int64(len(b))
 	j.appends++
 	j.unsynced++
 	if sync || j.unsynced >= journalSyncBacklog {
-		if err := j.f.Sync(); err != nil {
+		if err := j.log.Sync(); err != nil {
 			return fmt.Errorf("fleet: sync journal: %w", err)
 		}
 		j.syncs++
@@ -246,57 +187,15 @@ func (j *journal) append(rec journalRecord, sync bool) error {
 
 // shouldRotate reports whether the journal has outgrown its threshold.
 func (j *journal) shouldRotate() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.rotateAt > 0 && j.size > j.rotateAt
+	return j.rotateAt > 0 && j.log.Size() > j.rotateAt
 }
 
-// rotate compacts the log: the snapshot becomes the sole record of a
-// fresh file that atomically replaces the journal. A crash mid-rotation
-// leaves either the old journal or the new one — never a mix.
+// rotate compacts the log: the snapshot becomes the sole record of the
+// atomically rewritten journal.
 func (j *journal) rotate(snap *journalSnapshot) error {
-	b, err := json.Marshal(journalRecord{Op: opSnapshot, Snapshot: snap})
-	if err != nil {
-		return fmt.Errorf("fleet: encode snapshot: %w", err)
-	}
-	b = append(b, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("fleet: journal %s is closed", j.path)
-	}
-	tmp := j.path + ".rotate"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
+	if err := j.log.Rewrite(journalRecord{Op: opSnapshot, Snapshot: snap}); err != nil {
 		return fmt.Errorf("fleet: rotate journal: %w", err)
 	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("fleet: rotate journal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("fleet: rotate journal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("fleet: rotate journal: %w", err)
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("fleet: rotate journal: %w", err)
-	}
-	nf, err := os.OpenFile(j.path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		// The rotated file is in place but we lost the append handle;
-		// surface it — subsequent appends would fail anyway.
-		return fmt.Errorf("fleet: reopen rotated journal: %w", err)
-	}
-	j.f.Close()
-	j.f = nf
-	j.size = int64(len(b))
 	j.unsynced = 0
 	j.appends++
 	j.syncs++
@@ -304,33 +203,22 @@ func (j *journal) rotate(snap *journalSnapshot) error {
 	return nil
 }
 
-// close syncs and releases the journal file. Idempotent.
+// close syncs and releases the journal file. Idempotent. The sync's
+// error is dropped: every record that must survive was synced when it
+// was appended, and losing unsynced renews is what a crash does anyway.
 func (j *journal) close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	j.f.Sync()
-	err := j.f.Close()
-	j.f = nil
-	return err
+	_ = j.log.Sync()
+	return j.log.Close()
 }
 
 // stats snapshots the journal counters for Metrics.
 func (j *journal) stats() (appends, syncs, rotations, errs, size int64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.appends, j.syncs, j.rotations, j.errors, j.size
+	return j.appends, j.syncs, j.rotations, j.errors, j.log.Size()
 }
 
 // countError bumps the append-failure counter (the coordinator logs the
 // error itself; the counter makes it visible on /metrics).
-func (j *journal) countError() {
-	j.mu.Lock()
-	j.errors++
-	j.mu.Unlock()
-}
+func (j *journal) countError() { j.errors++ }
 
 // ---------------------------------------------------------------------
 // Replay: journal records -> coordinator state. All replay methods run
