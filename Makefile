@@ -21,7 +21,7 @@ fmt:
 	gofmt -l -w .
 
 # bench runs the reproducible performance harness on the full windows
-# and writes BENCH_PR10.json (schema tdmnoc-bench/v4; see README for
+# and writes bench-report.json (schema tdmnoc-bench/v4; see README for
 # how to read it). -strict makes it a gate: nonzero exit on hot-path
 # allocations (miniatures AND large-mesh points), a digest mismatch at
 # any worker count, traced overhead/ring drops, or a missing parallel
@@ -29,15 +29,15 @@ fmt:
 # additionally fails on a >15% serial Fig. 4 ns/cycle regression
 # against the committed PR8 report.
 bench:
-	$(GO) run ./cmd/bench -strict -o BENCH_PR10.json -baseline BENCH_PR8.json
+	$(GO) run ./cmd/bench -strict -o bench-report.json -baseline BENCH_PR8.json
 
 # bench-quick is the CI smoke variant: shorter windows, same gates
 # (large mesh runs 32x32 only).
 bench-quick:
-	$(GO) run ./cmd/bench -quick -strict -o BENCH_PR10.json -baseline BENCH_PR8.json
+	$(GO) run ./cmd/bench -quick -strict -o bench-report.json -baseline BENCH_PR8.json
 
 # bench-large adds the 128x128 row to the large-mesh matrix: ~16k
 # routers, minutes of runtime and gigabytes of heap. This is the
 # configuration the committed BENCH_PR10.json was generated with.
 bench-large:
-	$(GO) run ./cmd/bench -strict -large -o BENCH_PR10.json -baseline BENCH_PR8.json
+	$(GO) run ./cmd/bench -strict -large -o bench-report.json -baseline BENCH_PR8.json

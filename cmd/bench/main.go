@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/bench [-o BENCH_PR10.json] [-quick] [-strict] [-large]
+//	go run ./cmd/bench [-o bench-report.json] [-quick] [-strict] [-large]
 //	                   [-baseline BENCH_PR8.json] [-max-regression 0.15]
 //	                   [-trace-out trace.json]
 //
@@ -995,7 +995,7 @@ func baselineViolations(r, base Report, maxRegress float64) []string {
 }
 
 func main() {
-	out := flag.String("o", "BENCH_PR10.json", "output JSON path")
+	out := flag.String("o", "bench-report.json", "output JSON path")
 	quick := flag.Bool("quick", false, "short windows for CI smoke runs")
 	strict := flag.Bool("strict", false, "exit nonzero on hot-path allocations, traced overhead/ring drops, digest mismatch, or scaling-gate failure")
 	large := flag.Bool("large", false, "include the 128x128 large-mesh row (minutes of runtime, gigabytes of heap)")

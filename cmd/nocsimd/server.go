@@ -155,15 +155,27 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	hash := spec.Hash()
+
+	// A spec whose campaign is still running is not started twice: a
+	// second Store on the same spec-<hash16>.jsonl would open (and
+	// truncate a torn trailer of) a log the first campaign is still
+	// appending to. The submit joins the running campaign instead. The
+	// check, the store open and the registration share one critical
+	// section so two concurrent POSTs cannot both miss.
+	s.mu.Lock()
+	if c := s.runningByHash(hash); c != nil {
+		s.mu.Unlock()
+		writeSubmitted(w, c)
+		return
+	}
 	store, err := campaign.OpenStore(filepath.Join(s.dataDir, "spec-"+hash[:16]+".jsonl"))
 	if err != nil {
+		s.mu.Unlock()
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-
 	ctx, cancel := context.WithCancel(context.Background())
 	eng := campaign.New(campaign.Options{Workers: s.workers, JobTimeout: s.jobTimeout, Store: store})
-	s.mu.Lock()
 	s.seq++
 	id := fmt.Sprintf("c%04d-%s", s.seq, hash[:12])
 	c := &run{
@@ -193,10 +205,32 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		c.mu.Unlock()
 	}()
 
+	writeSubmitted(w, c)
+}
+
+// runningByHash returns the campaign for spec hash that is still
+// running, or nil. The caller holds s.mu.
+func (s *server) runningByHash(hash string) *run {
+	for _, c := range s.campaigns {
+		if c.SpecHash != hash {
+			continue
+		}
+		c.mu.Lock()
+		running := c.State == "running"
+		c.mu.Unlock()
+		if running {
+			return c
+		}
+	}
+	return nil
+}
+
+// writeSubmitted answers a submit with the campaign it started or joined.
+func writeSubmitted(w http.ResponseWriter, c *run) {
 	writeJSON(w, http.StatusAccepted, map[string]any{
-		"id": id, "jobs": len(jobs), "spec_hash": hash,
-		"status_url":  "/campaigns/" + id,
-		"results_url": "/campaigns/" + id + "/results",
+		"id": c.ID, "jobs": c.Jobs, "spec_hash": c.SpecHash,
+		"status_url":  "/campaigns/" + c.ID,
+		"results_url": "/campaigns/" + c.ID + "/results",
 	})
 }
 

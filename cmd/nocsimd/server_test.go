@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -262,6 +265,54 @@ func TestServiceCancelAndResume(t *testing.T) {
 	if st2.Counters.CacheHits < finished {
 		t.Errorf("resumed cache hits = %d, want >= %d (the jobs finished before cancel)",
 			st2.Counters.CacheHits, finished)
+	}
+}
+
+// TestServiceResubmitWhileRunning: a spec re-submitted while its first
+// campaign is still running joins that campaign instead of opening a
+// second store on the same log mid-append, so the log holds each job
+// once. A submit after completion starts a new campaign served wholly
+// from the cache.
+func TestServiceResubmitWhileRunning(t *testing.T) {
+	dir := t.TempDir()
+	s := newServer(dir, 1, time.Minute) // one worker keeps the first run going past the second POST
+	ts := httptest.NewServer(s.routes())
+	defer ts.Close()
+
+	first := postSpec(t, ts, testSpecJSON)
+	second := postSpec(t, ts, testSpecJSON)
+	id := first["id"].(string)
+	if second["id"] != id {
+		t.Fatalf("resubmit while running started campaign %v, want to join %s", second["id"], id)
+	}
+	if second["jobs"] != first["jobs"] || second["spec_hash"] != first["spec_hash"] || second["status_url"] != first["status_url"] {
+		t.Errorf("joined submit answered %v, want %v", second, first)
+	}
+	if st := waitDone(t, ts, id); st.State != "done" || st.Counters.Done != 24 {
+		t.Fatalf("campaign ended %q with %d done, want done with 24", st.State, st.Counters.Done)
+	}
+	log := filepath.Join(dir, "spec-"+first["spec_hash"].(string)[:16]+".jsonl")
+	lines := func() int {
+		b, err := os.ReadFile(log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Count(b, []byte("\n"))
+	}
+	if n := lines(); n != 24 {
+		t.Fatalf("%s holds %d lines, want 24 (one per job)", log, n)
+	}
+
+	third := postSpec(t, ts, testSpecJSON)
+	if third["id"] == id {
+		t.Fatalf("submit after completion rejoined finished campaign %s", id)
+	}
+	st := waitDone(t, ts, third["id"].(string))
+	if st.State != "done" || st.Counters.CacheHits != 24 {
+		t.Errorf("rerun ended %q with %d cache hits, want done with 24", st.State, st.Counters.CacheHits)
+	}
+	if n := lines(); n != 24 {
+		t.Errorf("%s holds %d lines after the cached rerun, want 24", log, n)
 	}
 }
 

@@ -33,18 +33,23 @@ func LoadConfig(r io.Reader) (Config, error) {
 // Hash returns a canonical fingerprint of the configuration: a SHA-256
 // over its stable field-order JSON encoding (Go marshals struct fields
 // in declaration order). Two configs hash equal exactly when every
-// field, including Seed, is equal — Workers, Partition and
-// InjectRingCap are excluded because executor parallelism, the worker
-// tile-partitioning layout and the injection-ring pre-size never change
-// simulation results, and the invariant-checking knobs
+// field, including Seed, is equal — Workers and InjectRingCap are
+// excluded because executor parallelism and the injection-ring pre-size
+// never change simulation results (the worker tile layout is always
+// sim.BlockPartitioner's), and the invariant-checking knobs
 // (CheckInvariants, CheckInterval) are excluded because checking only
-// observes a run. The hash is the cache key of the campaign engine, so
-// adding or reordering Config fields invalidates cached campaign
-// results (by design: a hash must never collide across semantically
-// different configs).
+// observes a run. The hash is the cache
+// key of the campaign engine, so adding, removing or reordering Config
+// fields invalidates cached campaign results (by design: a hash must
+// never collide across semantically different configs).
+//
+// Removing the former Partition field changed every hash once: result
+// stores written before it still open, but their records are not served
+// as cache hits; profiles saved by nocsim -profile-out before it fail
+// -profile-in's hash check; and a config JSON naming "Partition" is
+// rejected by LoadConfig as an unknown field.
 func (c Config) Hash() string {
 	c.Workers = 0
-	c.Partition = ""
 	c.InjectRingCap = 0
 	c.CheckInvariants = false
 	c.CheckInterval = 0

@@ -115,12 +115,6 @@ type Config struct {
 	// Workers sets executor parallelism (results are identical for any
 	// value; >1 only pays off on large meshes).
 	Workers int
-	// Partition selects the worker tile-partitioning and memory-layout
-	// strategy: "" or "block" for spatially contiguous 2D blocks per
-	// worker (the cache-local default), "stride" for the historical
-	// row-major chunking (kept for A/B benchmarks). Never changes
-	// results — only locality and trace shard ownership.
-	Partition string
 	// InjectRingCap pre-sizes each NI's injection ring to this many
 	// packet slots (0 = a small lazy default that grows by doubling).
 	// Ring capacity never changes results; callers who know the run
@@ -188,7 +182,6 @@ func (c Config) networkConfig() network.Config {
 	if c.Workers > 0 {
 		nc.Workers = c.Workers
 	}
-	nc.Partition = c.Partition
 	nc.InjectRingCap = c.InjectRingCap
 	if c.VCs > 0 {
 		nc.Router.VCs = c.VCs

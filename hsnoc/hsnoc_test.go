@@ -232,6 +232,8 @@ func TestLoadConfigRejectsBadInput(t *testing.T) {
 		`{"Width": 6, "Height": 6, "VCs": -1}`,
 		`{"Width": 6, "Height": 6, "Mode": 2, "PathSharing": true}`,
 		`{"Width": 6, "Height": 6, "Mode": 0, "PathSharing": true}`,
+		// The removed layout knob is an unknown field now, not a no-op.
+		`{"Width": 6, "Height": 6, "Partition": "block"}`,
 	}
 	for i, c := range cases {
 		if _, err := LoadConfig(strings.NewReader(c)); err == nil {

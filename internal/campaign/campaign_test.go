@@ -530,7 +530,7 @@ func TestEngineContainsExecutorWorkerPanic(t *testing.T) {
 		if j.Label == "boom" {
 			clock := &sim.Clock{}
 			ts := []sim.Ticker{explodingTicker{}, explodingTicker{}, explodingTicker{}, explodingTicker{}}
-			e := sim.NewExecutor(clock, ts, 4)
+			e := sim.NewExecutorSpans(clock, ts, []sim.Span{{Lo: 0, Hi: 1}, {Lo: 1, Hi: 2}, {Lo: 2, Hi: 3}, {Lo: 3, Hi: 4}})
 			defer e.Close()
 			e.Run(10)
 		}

@@ -70,61 +70,24 @@ type partition struct {
 	_      [cacheLinePad - 16]byte
 }
 
-// NewExecutor creates an executor over tickers. workers <= 1 selects the
-// serial path; workers > 1 spawns workers-1 goroutines which persist for
-// the executor's lifetime (the caller's goroutine executes the first
-// partition itself).
-//
-// The requested worker count is honored even beyond the machine's CPU
-// count (the goroutines just time-share): results are bit-identical for
-// any worker count, and tests that compare serial against parallel
-// executions rely on actually getting a parallel partition — a silent
-// clamp to NumCPU() on a single-CPU CI runner would turn those into
-// vacuous serial-vs-serial comparisons. The only cap is the ticker
-// count, below which extra workers could never receive work.
-func NewExecutor(clock *Clock, tickers []Ticker, workers int) *Executor {
-	return NewExecutorAligned(clock, tickers, workers, 1)
-}
-
-// NewExecutorAligned is NewExecutor with partition boundaries rounded up
-// to a multiple of align. Callers whose ticker slice interleaves
-// entities of one tile (router then NI) pass the interleaving factor so
-// a tile never straddles two workers, keeping each worker's working set
-// local.
-func NewExecutorAligned(clock *Clock, tickers []Ticker, workers, align int) *Executor {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(tickers) {
-		workers = max(1, len(tickers))
-	}
-	if align < 1 {
-		align = 1
-	}
-	n := len(tickers)
-	spans := make([]Span, workers)
-	if workers == 1 {
-		spans[0] = Span{Lo: 0, Hi: n}
-	} else {
-		chunk := (n + workers - 1) / workers
-		chunk = (chunk + align - 1) / align * align
-		for i := range spans {
-			lo := min(i*chunk, n)
-			spans[i] = Span{Lo: lo, Hi: min(lo+chunk, n)}
-		}
-	}
-	return NewExecutorSpans(clock, tickers, spans)
-}
-
 // Span is one worker's half-open range [Lo, Hi) over the ticker slice.
 type Span struct{ Lo, Hi int }
 
 // NewExecutorSpans creates an executor whose per-worker partitions are
-// given explicitly — one span per worker, worker 0 first. Spans must be
-// ascending, contiguous, and cover the ticker slice exactly; anything
-// else is a construction-time bug and panics. Callers that lay tickers
-// out partition-contiguously (see sim.Partitioner) use this to hand the
-// executor the matching spans instead of having it re-derive chunks.
+// given explicitly — one span per worker, worker 0 first; nil or empty
+// spans select the serial path. Spans must be ascending, contiguous, and
+// cover the ticker slice exactly; anything else is a construction-time
+// bug and panics. Callers lay tickers out in BlockPartitioner order and
+// pass the matching PartitionSpans.
+//
+// One span per worker is honored even beyond the machine's CPU count
+// (the goroutines just time-share): results are bit-identical for any
+// worker count, and tests that compare serial against parallel
+// executions rely on actually getting a parallel partition — a silent
+// clamp to NumCPU() on a single-CPU CI runner would turn those into
+// vacuous serial-vs-serial comparisons. With more than one span,
+// len(spans)-1 goroutines persist for the executor's lifetime (the
+// caller's goroutine executes span 0 itself).
 func NewExecutorSpans(clock *Clock, tickers []Ticker, spans []Span) *Executor {
 	if len(spans) == 0 {
 		spans = []Span{{Lo: 0, Hi: len(tickers)}}
@@ -174,19 +137,6 @@ func NewExecutorSpans(clock *Clock, tickers []Ticker, spans []Span) *Executor {
 
 // Workers returns the effective worker count (>= 1).
 func (e *Executor) Workers() int { return e.workers }
-
-// Owner returns the index of the worker whose static partition executes
-// ticker i (worker 0 is the caller goroutine). Serial executors own
-// everything on worker 0. Observability attach code uses this to bind
-// each ticker's emit handle to its worker's private shard.
-func (e *Executor) Owner(i int) int {
-	for w, pt := range e.parts {
-		if i >= pt.lo && i < pt.hi {
-			return w
-		}
-	}
-	return 0
-}
 
 // WakeAll re-arms every scheduled node for the clock's current cycle.
 // Management code that mutates node state outside the tick loop (e.g. a

@@ -192,7 +192,7 @@ func TestExecutorSerial(t *testing.T) {
 		cts[i] = &countingTicker{}
 		ts[i] = cts[i]
 	}
-	e := NewExecutor(clock, ts, 1)
+	e := newTestExecutor(clock, ts, 1)
 	defer e.Close()
 	e.Run(10)
 	if clock.Now() != 10 {
@@ -214,7 +214,7 @@ func TestExecutorParallelMatchesSerial(t *testing.T) {
 			cts[i] = &countingTicker{}
 			ts[i] = cts[i]
 		}
-		e := NewExecutor(clock, ts, workers)
+		e := newTestExecutor(clock, ts, workers)
 		defer e.Close()
 		e.Run(25)
 		out := make([]int64, len(ts))
@@ -249,7 +249,7 @@ func TestExecutorPanicReachesCaller(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		clock := &Clock{}
 		ts := []Ticker{&countingTicker{}, &panicTicker{at: 3}, &countingTicker{}, &countingTicker{}}
-		e := NewExecutor(clock, ts, workers)
+		e := newTestExecutor(clock, ts, workers)
 		func() {
 			defer e.Close()
 			defer func() {
@@ -272,7 +272,7 @@ func TestExecutorPanicReachesCaller(t *testing.T) {
 func TestExecutorRunUntil(t *testing.T) {
 	clock := &Clock{}
 	ct := &countingTicker{}
-	e := NewExecutor(clock, []Ticker{ct}, 1)
+	e := newTestExecutor(clock, []Ticker{ct}, 1)
 	defer e.Close()
 	n, ok := e.RunUntil(func() bool { return ct.computes >= 7 }, 100)
 	if !ok || n != 7 {
@@ -290,7 +290,7 @@ func TestExecutorRunUntil(t *testing.T) {
 func TestExecutorRunUntilAlreadyDone(t *testing.T) {
 	clock := &Clock{}
 	ct := &countingTicker{}
-	e := NewExecutor(clock, []Ticker{ct}, 1)
+	e := newTestExecutor(clock, []Ticker{ct}, 1)
 	defer e.Close()
 	n, ok := e.RunUntil(func() bool { return true }, 100)
 	if !ok || n != 0 {
@@ -311,7 +311,7 @@ func TestExecutorHonorsWorkerCount(t *testing.T) {
 	for i := range ts {
 		ts[i] = &countingTicker{}
 	}
-	e := NewExecutor(clock, ts, 48) // far above any CI runner's NumCPU
+	e := newTestExecutor(clock, ts, 48) // far above any CI runner's NumCPU
 	defer e.Close()
 	if got := e.Workers(); got != 48 {
 		t.Fatalf("Workers() = %d, want the requested 48", got)
@@ -324,12 +324,12 @@ func TestExecutorHonorsWorkerCount(t *testing.T) {
 	}
 
 	// Out-of-range requests clamp to something sane rather than panic.
-	e2 := NewExecutor(&Clock{}, []Ticker{&countingTicker{}}, 0)
+	e2 := newTestExecutor(&Clock{}, []Ticker{&countingTicker{}}, 0)
 	defer e2.Close()
 	if got := e2.Workers(); got != 1 {
 		t.Fatalf("Workers() for request 0 = %d, want 1", got)
 	}
-	e3 := NewExecutor(&Clock{}, []Ticker{&countingTicker{}, &countingTicker{}}, 99)
+	e3 := newTestExecutor(&Clock{}, []Ticker{&countingTicker{}, &countingTicker{}}, 99)
 	defer e3.Close()
 	if got := e3.Workers(); got != 2 {
 		t.Fatalf("Workers() above len(tickers) = %d, want 2", got)
@@ -338,7 +338,7 @@ func TestExecutorHonorsWorkerCount(t *testing.T) {
 
 func TestExecutorEmptyTickers(t *testing.T) {
 	clock := &Clock{}
-	e := NewExecutor(clock, nil, 8)
+	e := newTestExecutor(clock, nil, 8)
 	defer e.Close()
 	e.Run(3)
 	if clock.Now() != 3 {
@@ -370,7 +370,7 @@ func BenchmarkExecutorSerial(b *testing.B) {
 	for i := range ts {
 		ts[i] = &countingTicker{}
 	}
-	e := NewExecutor(clock, ts, 1)
+	e := newTestExecutor(clock, ts, 1)
 	defer e.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -384,7 +384,7 @@ func BenchmarkExecutorParallel(b *testing.B) {
 	for i := range ts {
 		ts[i] = &countingTicker{}
 	}
-	e := NewExecutor(clock, ts, 4)
+	e := newTestExecutor(clock, ts, 4)
 	defer e.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
