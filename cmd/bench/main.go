@@ -1,12 +1,21 @@
 // Command bench is the reproducible performance harness for the
-// simulator's cycle hot path. It runs miniature versions of the paper's
-// Fig. 4 (6x6 synthetic load curves) and Fig. 6 (8x8 scalability)
-// configurations, measures wall time and allocator traffic per
-// simulated cycle, cross-checks the serial-vs-parallel determinism
-// digests, measures parallel-executor scaling, runs the large-mesh
-// scaling matrix, and writes everything as one JSON document (schema
-// "tdmnoc-bench/v4" — v3 plus per-scenario resident-bytes reporting
-// and the "large_mesh" section; see README).
+// simulator's cycle hot path. It writes one JSON document (schema
+// "tdmnoc-bench/v5"; see README) with five sections:
+//
+//   - scenarios: miniatures of the paper's Fig. 4 (6x6 load curves) and
+//     Fig. 6 (8x8 scalability), each with ns/cycle, allocator traffic
+//     and resident bytes per simulated cycle;
+//   - traced: the fig4 and fig6 TDM miniatures with the observability
+//     recorder attached, timed against untraced twins;
+//   - traced_parity: the fig4 TDM tornado miniature traced at Workers
+//     {1, 4, 8}, whose exported Perfetto trace must be byte-identical and
+//     whose digest must equal the untraced serial run's;
+//   - determinism: serial vs Workers=4 digests of the three 6x6 fig4
+//     miniatures;
+//   - scaling: hybrid-TDM tornado 0.20 on 6x6, 16x16, 32x32, 64x64 (full
+//     runs) and 128x128 (-large), across worker counts, with speedup,
+//     allocs/cycle against a per-router budget, bytes per router and a
+//     checked digest.
 //
 // Usage:
 //
@@ -14,51 +23,23 @@
 //	                   [-baseline BENCH_PR8.json] [-max-regression 0.15]
 //	                   [-trace-out trace.json]
 //
-// The "large_mesh" section measures the hybrid-TDM tornado workload on
-// big meshes — 32x32 always, 64x64 in full runs, 128x128 only with
-// -large (it simulates ~16k routers; minutes, gigabytes) — across the
-// worker matrix {1, 2, 4, 8, 16} ({1, 8} in quick mode). Every point
-// reports ns/cycle, allocs/cycle, resident heap bytes and bytes per
-// router; the 32x32 points additionally run a checked digest pass, and
-// -strict requires every large-mesh point to hold the per-router-scaled
-// zero-alloc budget and every checked digest to match the serial one.
-// Each cell
-// runs in a fresh subprocess (the binary re-execs itself with the
-// internal -large-point flag): measured in-process after the miniature
-// sections have churned gigabytes of heap, the big rows read up to
-// ~50% slower than the identical simulation in a clean process, which
-// is allocator history, not simulation cost.
+// Every timed single-simulator run is a cell (see runCell), and every
+// cell of the scenarios and scaling sections runs in a fresh subprocess:
+// the binary re-execs itself with the internal -cell flag. Measured
+// in-process after earlier sections have churned gigabytes of heap, the
+// big rows read up to ~50% slower than the identical simulation in a
+// clean process, which is allocator history, not simulation cost.
 //
-// -quick shortens the warmup/measure windows for CI smoke use.
-// -strict exits nonzero when the steady-state hot path allocates (any
-// Fig. 4 or Fig. 6 miniature above zeroAllocBudget allocs/cycle, with
-// or without the observability recorder attached), when a determinism
-// digest mismatches, or when the parallel-scaling gates fail — the CI
-// regression gate. The fig4 and fig6 TDM miniatures are re-run with
-// tracing enabled (standard "flows" profile) and their ns/cycle deltas
-// against untraced twins are reported in the "traced" section; the
-// shard rings are sized drop-free for the measured window, and -strict
-// additionally requires ring_drops == 0 and overhead_fraction <=
-// tracedOverheadBudget there.
-//
-// The "traced_parity" section pins the sharded-tracing contract on the
-// fig4 TDM tornado miniature: the exported Perfetto trace must be
-// byte-identical at Workers {1, 4, 8}, and every traced run's rolling
-// invariant digest must equal the untraced serial run's digest —
-// tracing is a pure observer at every worker count. -trace-out writes
-// the merged trace of the widest parallel parity run to a file (the CI
-// artifact).
-//
-// The "parallel" section measures the spin-barrier executor at worker
-// counts {1, 2, 4, 8} on 6x6 and 16x16 hybrid-TDM meshes, reporting
-// ns/cycle, speedup over serial, allocs/cycle, and whether the run's
-// determinism digest matches the serial one. Speedup is only gated when
-// the machine actually has the cores (GOMAXPROCS >= workers); digest
-// equality is gated unconditionally.
-//
-// -baseline compares this run's serial Fig. 4 ns/cycle against a
-// previously committed report and exits nonzero when any scenario
-// regressed by more than -max-regression (fractional, default 0.15).
+// -quick shortens the windows for CI smoke use and trims the scaling
+// matrix above 16x16 to a 32x32 smoke at workers {1, 8}. -strict exits
+// nonzero on any failure listed by strictViolations: hot-path
+// allocations, traced overhead or ring drops, a digest mismatch, or a
+// missing 2x speedup at 16x16 on a machine with the cores to show one.
+// -trace-out writes the merged trace of the Workers=8 parity run to a
+// file (the CI artifact). -baseline compares this run's serial Fig. 4
+// ns/cycle against a previously committed report and exits nonzero when
+// any scenario regressed by more than -max-regression (fractional,
+// default 0.15).
 package main
 
 import (
@@ -66,6 +47,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/exec"
@@ -88,52 +70,7 @@ type Report struct {
 	Traced     []TracedScenario `json:"traced"`
 	Parity     []TracedParity   `json:"traced_parity"`
 	Digests    []DigestCheck    `json:"determinism"`
-	Parallel   []ParallelPoint  `json:"parallel"`
-	LargeMesh  []LargeMeshPoint `json:"large_mesh"`
-}
-
-// LargeMeshPoint is one (mesh, worker-count) measurement of the
-// large-mesh scaling matrix. Unlike the miniature scenarios, memory
-// footprint is a first-class result here: the point of the slab layout
-// is that bytes/router stays flat as the mesh grows.
-type LargeMeshPoint struct {
-	Scenario
-	Workers  int     `json:"workers"`
-	SerialNs float64 `json:"serial_ns_per_cycle"`
-	Speedup  float64 `json:"speedup"`
-	// SpeedupMeasurable mirrors ParallelPoint: false when GOMAXPROCS <
-	// workers, where the goroutines time-share cores and the ratio is
-	// meaningless.
-	SpeedupMeasurable bool `json:"speedup_measurable"`
-	// Digest is the rolling invariant digest of a separate checked run
-	// at this worker count (32x32 only — every-cycle state hashing on
-	// the larger meshes would dwarf the measurement); DigestChecked
-	// marks whether it ran, DigestMatch whether it equals the serial
-	// digest.
-	Digest        string `json:"digest,omitempty"`
-	DigestChecked bool   `json:"digest_checked"`
-	DigestMatch   bool   `json:"digest_match"`
-}
-
-// ParallelPoint is one (mesh, worker-count) measurement of the parallel
-// executor's scaling behaviour.
-type ParallelPoint struct {
-	Name    string `json:"name"`
-	Width   int    `json:"width"`
-	Height  int    `json:"height"`
-	Workers int    `json:"workers"`
-
-	NsPerCycle     float64 `json:"ns_per_cycle"`
-	SerialNs       float64 `json:"serial_ns_per_cycle"`
-	Speedup        float64 `json:"speedup"`
-	AllocsPerCycle float64 `json:"allocs_per_cycle"`
-	// DigestMatch reports whether a checked run at this worker count
-	// reproduced the serial run's rolling digest bit-for-bit.
-	DigestMatch bool `json:"digest_match"`
-	// SpeedupMeasurable is false when the machine has fewer cores than
-	// workers (GOMAXPROCS < workers): the goroutines then time-share one
-	// core and speedup is meaningless, so the strict gate skips it.
-	SpeedupMeasurable bool `json:"speedup_measurable"`
+	Scaling    []ScalingPoint   `json:"scaling"`
 }
 
 // Scenario is one measured configuration.
@@ -159,9 +96,33 @@ type Scenario struct {
 	ResidentBytes  uint64  `json:"resident_bytes"`
 	BytesPerRouter float64 `json:"bytes_per_router"`
 	// HotPathZeroAlloc reports whether the steady-state loop stayed
-	// within zeroAllocBudget (amortised zero: only rare reconfiguration
-	// events may allocate, never the per-cycle pipeline).
+	// within the cell's alloc budget (amortised zero: only rare
+	// reconfiguration events may allocate, never the per-cycle pipeline).
 	HotPathZeroAlloc bool `json:"hot_path_zero_alloc"`
+}
+
+// ScalingPoint is one (mesh, worker-count) cell of the scaling matrix.
+// Memory footprint is a first-class result here: bytes/router must stay
+// flat as the mesh grows.
+type ScalingPoint struct {
+	Scenario
+	Workers  int     `json:"workers"`
+	SerialNs float64 `json:"serial_ns_per_cycle"`
+	Speedup  float64 `json:"speedup"`
+	// SpeedupMeasurable is false when the machine has fewer cores than
+	// workers (GOMAXPROCS < workers): the goroutines then time-share
+	// cores and speedup is meaningless, so the strict gate skips it.
+	SpeedupMeasurable bool `json:"speedup_measurable"`
+	// AllocBudget is the allocs/cycle ceiling -strict holds this row to;
+	// 0 marks a row whose alloc rate is reported but not gated (see
+	// scalingTable).
+	AllocBudget float64 `json:"alloc_budget"`
+	// Digest is the rolling invariant digest of a separate checked run at
+	// this worker count; DigestChecked marks whether it ran, DigestMatch
+	// whether it kept its invariants and equals the serial digest.
+	Digest        string `json:"digest,omitempty"`
+	DigestChecked bool   `json:"digest_checked"`
+	DigestMatch   bool   `json:"digest_match"`
 }
 
 // TracedScenario measures one scenario with the observability recorder
@@ -248,23 +209,21 @@ type DigestCheck struct {
 // appears.
 const zeroAllocBudget = 0.002
 
-// largeMeshAllocBudget scales the zero-alloc ceiling to the mesh. The
-// big meshes run short windows (a miniature-length warmup would take
-// hours at 16k routers), so slow capacity convergence — receive
-// buffers, dedup maps and DLT event buffers still doubling toward
-// their high-water marks — shows up as a trickle of allocations that
-// the miniatures amortise away inside their 40k-cycle warmups. Per
+// routerAllocBudget scales the zero-alloc ceiling to the mesh for the
+// scaling rows. The big meshes run short windows (a miniature-length
+// warmup would take hours at 16k routers), so slow capacity convergence
+// — receive buffers, dedup maps and DLT event buffers still doubling
+// toward their high-water marks — shows up as a trickle of allocations
+// that the miniatures amortise away inside their 40k-cycle warmups. Per
 // router the trickle is tiny (~0.0002 allocs/router/cycle measured at
-// 128x128) and it is one-off capacity growth, not per-event garbage,
-// so the budget is per-router: 0.001 allocs/router/cycle keeps 5x
-// headroom over the measured floor while still catching real
-// regressions — the old layout's lazily-doubling injection rings burned
-// 36.7 allocs/cycle at 128x128, 2x over this gate.
-func largeMeshAllocBudget(routers int) float64 {
-	if b := 0.001 * float64(routers); b > zeroAllocBudget {
-		return b
-	}
-	return zeroAllocBudget
+// 128x128) and it is one-off capacity growth, not per-event garbage, so
+// the budget is per-router: 0.001 allocs/router/cycle keeps 5x headroom
+// over the measured floor while still catching real regressions — the
+// old layout's lazily-doubling injection rings burned 36.7 allocs/cycle
+// at 128x128, 2x over this gate. The 6x6 rows hold the same rule
+// (0.036), far above the 0.0008-0.0065 they measure.
+func routerAllocBudget(routers int) float64 {
+	return max(float64(routers)/1000, zeroAllocBudget)
 }
 
 // tracedOverheadBudget is the maximum fractional ns/cycle slowdown the
@@ -300,28 +259,30 @@ const tracedRingSample = 4
 // over attempts is the right statistic on shared hardware.
 const tracedAttempts = 3
 
+// spec is one simulated configuration. Its fields are exported so that
+// it travels inside a cell to the -cell subprocess.
 type spec struct {
-	name, figure  string
-	width, height int
-	mode          hsnoc.Mode
-	pattern       hsnoc.Pattern
-	rate          float64
-	workers       int // 0 = serial
-	injectRingCap int // 0 = the engine's lazy default
+	Name, Figure  string
+	Width, Height int
+	Mode          hsnoc.Mode
+	Pattern       hsnoc.Pattern
+	Rate          float64
+	Workers       int // 0 = serial
+	InjectRingCap int // 0 = the engine's lazy default
 }
 
 func specConfig(sp spec) hsnoc.Config {
-	cfg := hsnoc.DefaultConfig(sp.width, sp.height)
-	cfg.Mode = sp.mode
-	if sp.mode == hsnoc.HybridTDM {
+	cfg := hsnoc.DefaultConfig(sp.Width, sp.Height)
+	cfg.Mode = sp.Mode
+	if sp.Mode == hsnoc.HybridTDM {
 		cfg.PathSharing = true
 	}
 	cfg.VCPowerGating = true
 	cfg.Seed = 7
-	if sp.workers > 1 {
-		cfg.Workers = sp.workers
+	if sp.Workers > 1 {
+		cfg.Workers = sp.Workers
 	}
-	cfg.InjectRingCap = sp.injectRingCap
+	cfg.InjectRingCap = sp.InjectRingCap
 	return cfg
 }
 
@@ -345,45 +306,146 @@ func patternName(p hsnoc.Pattern) string {
 	}
 }
 
-// measure runs one scenario: warm up past the allocator transient, then
-// time a fixed run with the memstats deltas around it. The warmup also
-// fills the packet pools, so the measured window sees the steady state
-// the simulator spends virtually all of a long experiment in. Resident
-// bytes are the HeapInuse growth from just before construction to the
-// post-warmup GC — the simulator's own steady-state footprint, free of
-// whatever the process had already allocated.
-func measure(sp spec, warmup, cycles int) Scenario {
+// fatal ends the bench on err: a silently skipped measurement would
+// read as a passing gate.
+func fatal(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bench:", err)
+		os.Exit(1)
+	}
+}
+
+// cell is one timed single-simulator run and the wire format of the
+// -cell subprocess mode: a spec, its warmup and measured windows, the
+// allocs/cycle budget its hot_path_zero_alloc verdict is taken against,
+// and the length of a checked-digest run after the timed one (0 = no
+// checked run).
+type cell struct {
+	Spec         spec    `json:"spec"`
+	Warmup       int     `json:"warmup"`
+	Cycles       int     `json:"cycles"`
+	AllocBudget  float64 `json:"alloc_budget"`
+	DigestCycles int     `json:"digest_cycles"`
+}
+
+// cellResult is what runCell returns and the -cell subprocess prints.
+type cellResult struct {
+	Scenario     Scenario `json:"scenario"`
+	Digest       string   `json:"digest,omitempty"`
+	InvariantsOK bool     `json:"invariants_ok"`
+}
+
+// runCell runs one cell in this process. The timed run warms up past
+// the allocator transient, then times a fixed window with the memstats
+// deltas around it; the warmup also fills the packet pools, so the
+// window sees the steady state a long experiment spends virtually all
+// of its time in. Resident bytes are the HeapInuse growth from just
+// before construction to the post-warmup GC — the simulator's own
+// footprint, free of whatever the process had already allocated. The
+// optional checked run follows on a fresh simulator.
+func runCell(c cell) cellResult {
+	sp := c.Spec
 	runtime.GC()
-	var mPre runtime.MemStats
+	var mPre, m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&mPre)
-
-	cfg := specConfig(sp)
-	s := hsnoc.NewSynthetic(cfg, sp.pattern, sp.rate)
-	defer s.Close()
-	s.Warmup(warmup)
-
+	s := hsnoc.NewSynthetic(specConfig(sp), sp.Pattern, sp.Rate)
+	s.Warmup(c.Warmup)
 	runtime.GC()
-	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	resident := m0.HeapInuse - min(mPre.HeapInuse, m0.HeapInuse)
 	t0 := time.Now()
-	s.Warmup(cycles) // Warmup == Run without stats finalisation
+	s.Warmup(c.Cycles) // Warmup == Run without stats finalisation
 	elapsed := time.Since(t0)
 	runtime.ReadMemStats(&m1)
+	s.Close()
 
-	allocs := float64(m1.Mallocs-m0.Mallocs) / float64(cycles)
-	return Scenario{
-		Name: sp.name, Figure: sp.figure,
-		Width: sp.width, Height: sp.height,
-		Mode: modeName(sp.mode), Pattern: patternName(sp.pattern), Rate: sp.rate,
-		WarmupCycles: warmup, MeasuredCycles: cycles,
-		NsPerCycle:       float64(elapsed.Nanoseconds()) / float64(cycles),
+	allocs := float64(m1.Mallocs-m0.Mallocs) / float64(c.Cycles)
+	r := cellResult{InvariantsOK: true, Scenario: Scenario{
+		Name: sp.Name, Figure: sp.Figure,
+		Width: sp.Width, Height: sp.Height,
+		Mode: modeName(sp.Mode), Pattern: patternName(sp.Pattern), Rate: sp.Rate,
+		WarmupCycles: c.Warmup, MeasuredCycles: c.Cycles,
+		NsPerCycle:       float64(elapsed.Nanoseconds()) / float64(c.Cycles),
 		AllocsPerCycle:   allocs,
-		BytesPerCycle:    float64(m1.TotalAlloc-m0.TotalAlloc) / float64(cycles),
+		BytesPerCycle:    float64(m1.TotalAlloc-m0.TotalAlloc) / float64(c.Cycles),
 		ResidentBytes:    resident,
-		BytesPerRouter:   float64(resident) / float64(sp.width*sp.height),
-		HotPathZeroAlloc: allocs <= zeroAllocBudget,
+		BytesPerRouter:   float64(resident) / float64(sp.Width*sp.Height),
+		HotPathZeroAlloc: allocs <= c.AllocBudget,
+	}}
+	if c.DigestCycles > 0 {
+		ch := checkedRun(sp, c.DigestCycles, false)
+		r.Digest, r.InvariantsOK = ch.digest, ch.invariantsOK
 	}
+	return r
+}
+
+// runCellIsolated runs one cell in a fresh process: this binary
+// re-executed with -cell.
+func runCellIsolated(c cell) cellResult {
+	exe, err := os.Executable()
+	fatal(err)
+	arg, err := json.Marshal(c)
+	fatal(err)
+	cmd := exec.Command(exe, "-cell", string(arg))
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		fatal(fmt.Errorf("-cell subprocess (%s w=%d): %w", c.Spec.Name, c.Spec.Workers, err))
+	}
+	var r cellResult
+	fatal(json.Unmarshal(out, &r))
+	return r
+}
+
+// serveCell is the subprocess side of runCellIsolated: decode the cell,
+// run it and print its result as JSON.
+func serveCell(arg string, w io.Writer) error {
+	var c cell
+	if err := json.Unmarshal([]byte(arg), &c); err != nil {
+		return fmt.Errorf("-cell: %w", err)
+	}
+	return json.NewEncoder(w).Encode(runCell(c))
+}
+
+// checked is the outcome of one checkedRun.
+type checked struct {
+	digest       string
+	invariantsOK bool
+	drops        uint64 // traced runs only
+	trace        []byte // traced runs only: the exported Perfetto trace
+}
+
+// checkedRun is the one checked run behind every digest in the report:
+// invariants checked and the rolling digest folded every cycle over
+// cycles/2 of warmup and a cycles-long run. traced attaches full-fidelity
+// telemetry before the warmup, with a ring covering warmup plus run so
+// the export is drop-free — a wrapped ring would make the Workers=1
+// byte-comparison reference meaningless — and returns the exported
+// merged trace.
+func checkedRun(sp spec, cycles int, traced bool) checked {
+	cfg := specConfig(sp)
+	cfg.CheckInvariants = true
+	cfg.CheckInterval = 1
+	s := hsnoc.NewSynthetic(cfg, sp.Pattern, sp.Rate)
+	defer s.Close()
+	var rec *obs.Recorder
+	if traced {
+		var err error
+		rec, err = s.AttachTelemetry(hsnoc.TelemetryOptions{
+			Every:        64,
+			RingCapacity: (cycles + cycles/2) * tracedEventsPerCycleHeadroom,
+		})
+		fatal(err)
+	}
+	s.Warmup(cycles / 2)
+	s.Run(cycles)
+	c := checked{digest: fmt.Sprintf("%#016x", s.RollingDigest()), invariantsOK: s.InvariantError() == nil}
+	if traced {
+		var buf bytes.Buffer
+		fatal(s.WriteTrace(&buf))
+		c.drops, c.trace = rec.Dropped(), buf.Bytes()
+	}
+	return c
 }
 
 // measureTraced measures the cost of the observability recorder against
@@ -416,9 +478,9 @@ func measureTraced(sp spec, warmup, cycles int) TracedScenario {
 	}
 	ringCap := tracedAttempts * windows * window * tracedEventsPerCycleHeadroom / tracedRingSample
 
-	base := hsnoc.NewSynthetic(specConfig(sp), sp.pattern, sp.rate)
+	base := hsnoc.NewSynthetic(specConfig(sp), sp.Pattern, sp.Rate)
 	defer base.Close()
-	traced := hsnoc.NewSynthetic(specConfig(sp), sp.pattern, sp.rate)
+	traced := hsnoc.NewSynthetic(specConfig(sp), sp.Pattern, sp.Rate)
 	defer traced.Close()
 	base.Warmup(warmup)
 	traced.Warmup(warmup)
@@ -435,10 +497,7 @@ func measureTraced(sp spec, warmup, cycles int) TracedScenario {
 		KindMask:     obs.ProfileFlows,
 		RingSample:   tracedRingSample,
 	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
+	fatal(err)
 
 	runtime.GC()
 	e0 := rec.Events()
@@ -500,7 +559,7 @@ func measureTraced(sp spec, warmup, cycles int) TracedScenario {
 		attempts++
 	}
 	return TracedScenario{
-		Name:             sp.name,
+		Name:             sp.Name,
 		TelemetryEvery:   every,
 		Profile:          "flows",
 		KindMask:         obs.ProfileFlows,
@@ -516,255 +575,157 @@ func measureTraced(sp spec, warmup, cycles int) TracedScenario {
 	}
 }
 
-// tracedParityPoint repeats digestRun's exact cycle shape with
-// telemetry attached and returns the exported merged trace alongside
-// the digest. The ring covers warmup plus the measured run so the
-// export is drop-free — a wrapped ring would make the Workers=1
-// byte-comparison reference meaningless.
-func tracedParityPoint(sp spec, workers, cycles int) (ParityPoint, []byte) {
-	cfg := specConfig(sp)
-	cfg.Workers = workers
-	cfg.CheckInvariants = true
-	cfg.CheckInterval = 1
-	s := hsnoc.NewSynthetic(cfg, sp.pattern, sp.rate)
-	defer s.Close()
-	rec, err := s.AttachTelemetry(hsnoc.TelemetryOptions{
-		Every:        64,
-		RingCapacity: (cycles + cycles/2) * tracedEventsPerCycleHeadroom,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
-	s.Warmup(cycles / 2)
-	s.Run(cycles)
-	var buf bytes.Buffer
-	if err := s.WriteTrace(&buf); err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
-	return ParityPoint{
-		Workers:      workers,
-		Digest:       fmt.Sprintf("%#016x", s.RollingDigest()),
-		TraceBytes:   buf.Len(),
-		RingDrops:    rec.Dropped(),
-		InvariantsOK: s.InvariantError() == nil,
-		// DigestMatch and TraceMatch are filled by checkParity, which owns
-		// the untraced reference and the Workers=1 trace bytes.
-	}, buf.Bytes()
-}
-
 // checkParity runs the traced worker matrix {1, 4, 8} for one scenario
 // and, when traceOut is non-empty, writes the widest parallel run's
 // merged Perfetto trace there.
 func checkParity(sp spec, cycles int, traceOut string) TracedParity {
-	untraced, _ := digestRun(sp, 1, cycles)
-	p := TracedParity{
-		Name:           sp.name,
-		Cycles:         cycles,
-		UntracedDigest: fmt.Sprintf("%#016x", untraced),
-	}
+	p := TracedParity{Name: sp.Name, Cycles: cycles, UntracedDigest: checkedRun(sp, cycles, false).digest}
 	var serialTrace []byte
 	for _, w := range []int{1, 4, 8} {
-		pt, trace := tracedParityPoint(sp, w, cycles)
+		sp.Workers = w
+		c := checkedRun(sp, cycles, true)
 		if w == 1 {
-			serialTrace = trace
+			serialTrace = c.trace
 		}
-		pt.DigestMatch = pt.Digest == p.UntracedDigest
-		pt.TraceMatch = bytes.Equal(trace, serialTrace)
+		p.Points = append(p.Points, ParityPoint{
+			Workers: w, Digest: c.digest,
+			DigestMatch: c.digest == p.UntracedDigest,
+			TraceMatch:  bytes.Equal(c.trace, serialTrace),
+			TraceBytes:  len(c.trace), RingDrops: c.drops, InvariantsOK: c.invariantsOK,
+		})
 		if w == 8 && traceOut != "" {
-			if err := os.WriteFile(traceOut, trace, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "bench:", err)
-				os.Exit(1)
-			}
+			fatal(os.WriteFile(traceOut, c.trace, 0o644))
 			fmt.Printf("wrote merged Perfetto trace (workers=8) to %s\n", traceOut)
 		}
-		p.Points = append(p.Points, pt)
 	}
 	return p
 }
 
-// digestRun produces the rolling invariant digest of one checked run.
-func digestRun(sp spec, workers, cycles int) (uint64, bool) {
-	cfg := specConfig(sp)
-	cfg.Workers = workers
-	cfg.CheckInvariants = true
-	cfg.CheckInterval = 1
-	s := hsnoc.NewSynthetic(cfg, sp.pattern, sp.rate)
-	defer s.Close()
-	s.Warmup(cycles / 2)
-	s.Run(cycles)
-	return s.RollingDigest(), s.InvariantError() == nil
-}
-
 func checkDigest(sp spec, cycles int) DigestCheck {
-	serial, okS := digestRun(sp, 1, cycles)
-	par, okP := digestRun(sp, 4, cycles)
+	serial := checkedRun(sp, cycles, false)
+	sp.Workers = 4
+	par := checkedRun(sp, cycles, false)
 	return DigestCheck{
-		Name:         sp.name,
+		Name:         sp.Name,
 		Cycles:       cycles,
-		SerialDigest: fmt.Sprintf("%#016x", serial),
-		Workers4:     fmt.Sprintf("%#016x", par),
-		Match:        serial == par,
-		InvariantsOK: okS && okP, CheckInterval: 1,
+		SerialDigest: serial.digest,
+		Workers4:     par.digest,
+		Match:        serial.digest == par.digest,
+		InvariantsOK: serial.invariantsOK && par.invariantsOK, CheckInterval: 1,
 	}
 }
 
-// largeMeshSize is one mesh size of the large-mesh scaling matrix.
-type largeMeshSize struct {
+// scalingRow is one mesh of the scaling matrix, measured at every
+// worker count in workers.
+type scalingRow struct {
 	width, height  int
 	warmup, cycles int
-	// digestCycles sizes the separate checked (CheckInterval=1) digest
-	// runs; digestAllWorkers extends them from the serial reference to
-	// the whole worker set. Only the 32x32 row checks every worker —
-	// every-cycle state hashing on the bigger meshes costs more than the
-	// measurement itself, and the worker-invariance contract is already
-	// partition-shape-independent (the network package pins it on ragged
-	// meshes too).
+	workers        []int
+	// digestCycles sizes the checked run that follows each timed one;
+	// serialDigestOnly limits it to workers=1 — every-cycle state hashing
+	// on the biggest meshes costs more than the measurement itself, and
+	// the worker-invariance contract is partition-shape-independent (the
+	// network package pins it on ragged meshes too).
 	digestCycles     int
-	digestAllWorkers bool
+	serialDigestOnly bool
+	// gated holds allocs/cycle to routerAllocBudget.
+	gated bool
 }
 
-// largeMeshSpec is the large-mesh workload: the same hybrid-TDM tornado
-// configuration (seed 7, rate 0.20) that the layout A/B frozen in
-// BENCH_PR10.json was measured on, so new rows stay comparable with it.
-// The injection rings are pre-sized for the row's whole window —
-// tornado at 0.20 over-saturates these meshes, so the backlog ring
-// would otherwise keep doubling through the measured window (the one
-// allocation source the pools cannot absorb; ring capacity never
-// changes results).
-func largeMeshSpec(sz largeMeshSize, workers int) spec {
+// scalingTable is the scaling matrix: hybrid-TDM tornado 0.20, seed 7 —
+// the configuration the layout A/B frozen in BENCH_PR10.json was
+// measured on. The 6x6 and 16x16 rows share the miniatures' windows; the
+// bigger meshes run shorter ones, because tornado on a big mesh reaches
+// its steady state quickly (the flow set is fixed and circuit churn is
+// local), and a 40k-cycle warmup at 64x64 would cost more than the rest
+// of the suite combined. Quick mode keeps CI honest with a short 32x32
+// pass at workers {1, 8}; full runs add 64x64, and -large the 128x128
+// headline row.
+func scalingTable(quick, large bool, warmup, cycles, digestCycles int) []scalingRow {
+	mini, all := []int{1, 2, 4, 8}, []int{1, 2, 4, 8, 16}
+	rows := []scalingRow{
+		// 6x6 documents that parallelism does not pay below ~16x16.
+		{6, 6, warmup, cycles, mini, digestCycles, false, true},
+		// 16x16 carries the 2x speedup floor at 4 workers. Its alloc rate
+		// is reported but not gated: tornado 0.20 over-saturates 16x16,
+		// which accepts 0.113 of the 0.20 flits/node/cycle offered, and
+		// every backlogged packet is a live allocation (an alloc profile
+		// splits them 56% flit.(*Packet).ExplodeInto and 44%
+		// flit.(*Pool).Get from NI.Send). The row has read 8.2-8.4
+		// allocs/cycle since BENCH_PR5 against a 0.256 budget; fixing that
+		// means not materialising queued packets, a simulator change.
+		{16, 16, warmup, cycles, mini, digestCycles, false, false},
+	}
+	if quick {
+		return append(rows, scalingRow{32, 32, 1500, 500, []int{1, 8}, 400, false, true})
+	}
+	rows = append(rows,
+		scalingRow{32, 32, 4000, 2000, all, 400, false, true},
+		scalingRow{64, 64, 2000, 1000, all, 400, true, true})
+	if large {
+		rows = append(rows, scalingRow{128, 128, 800, 400, all, 400, true, true})
+	}
+	return rows
+}
+
+// cell builds the row's cell at one worker count. The injection rings
+// are pre-sized for the row's whole window — tornado at 0.20 keeps a
+// backlog on these meshes, so the ring would otherwise keep doubling
+// through the measured window (ring capacity never changes results).
+func (row scalingRow) cell(workers int) cell {
 	const rate = 0.20
 	// Worst-case injection backlog per NI over the whole window: each NI
 	// injects Bernoulli(rate) per cycle, so the count is binomial with
 	// mean rate*window — but with tens of thousands of NIs the tail
 	// matters, so size to mean + 6 sigma (beyond that, a one-off ring
 	// doubling is noise, not a leak).
-	window := float64(sz.warmup + sz.cycles)
-	mean := rate * window
+	mean := rate * float64(row.warmup+row.cycles)
 	need := int(mean+6*math.Sqrt(mean*(1-rate))) + 1
 	ringCap := 16
 	for ringCap < need {
 		ringCap <<= 1
 	}
-	return spec{
-		name:   fmt.Sprintf("large-tdm-%dx%d-tornado-0.20", sz.width, sz.height),
-		figure: "large", width: sz.width, height: sz.height,
-		mode: hsnoc.HybridTDM, pattern: hsnoc.Tornado, rate: rate,
-		workers: workers, injectRingCap: ringCap,
+	c := cell{
+		Spec: spec{
+			Name:   fmt.Sprintf("scale-tdm-%dx%d-tornado-0.20", row.width, row.height),
+			Figure: "scaling", Width: row.width, Height: row.height,
+			Mode: hsnoc.HybridTDM, Pattern: hsnoc.Tornado, Rate: rate,
+			Workers: workers, InjectRingCap: ringCap,
+		},
+		Warmup: row.warmup, Cycles: row.cycles,
 	}
+	if row.gated {
+		c.AllocBudget = routerAllocBudget(row.width * row.height)
+	}
+	if workers == 1 || !row.serialDigestOnly {
+		c.DigestCycles = row.digestCycles
+	}
+	return c
 }
 
-// largePointReq is the wire format of the -large-point subprocess mode:
-// one (mesh size, worker count) cell of the scaling matrix. A zero
-// DigestCycles skips the checked digest pass.
-type largePointReq struct {
-	Width        int `json:"width"`
-	Height       int `json:"height"`
-	Warmup       int `json:"warmup"`
-	Cycles       int `json:"cycles"`
-	DigestCycles int `json:"digest_cycles"`
-	Workers      int `json:"workers"`
-}
-
-// largePointResp is what the subprocess prints on stdout.
-type largePointResp struct {
-	Point    LargeMeshPoint `json:"point"`
-	DigestOK bool           `json:"digest_ok"`
-}
-
-// isolateLargePoints makes measureLargeMesh run every cell in a fresh
-// subprocess (the bench binary re-execing itself with -large-point).
-// main() turns it on; unit tests leave it off and measure inline. The
-// isolation exists because these points run after the miniature and
-// parallel sections have churned gigabytes of heap through the process:
-// measured in-process, the 64x64 serial row reads ~50% slower than the
-// identical run in a fresh process (GC pacing and allocator reuse, not
-// simulation cost).
-var isolateLargePoints bool
-
-// runLargePoint measures one cell inline: the timing/footprint run,
-// then the optional checked digest pass.
-func runLargePoint(req largePointReq) (LargeMeshPoint, bool) {
-	sz := largeMeshSize{width: req.Width, height: req.Height, warmup: req.Warmup, cycles: req.Cycles}
-	sp := largeMeshSpec(sz, req.Workers)
-	sc := measure(sp, req.Warmup, req.Cycles)
-	// measure() applies the miniature budget; large meshes hold the
-	// per-router-scaled one instead.
-	sc.HotPathZeroAlloc = sc.AllocsPerCycle <= largeMeshAllocBudget(req.Width*req.Height)
-	pt := LargeMeshPoint{Scenario: sc, Workers: req.Workers}
-	ok := true
-	if req.DigestCycles > 0 {
-		var d uint64
-		d, ok = digestRun(sp, req.Workers, req.DigestCycles)
-		pt.Digest = fmt.Sprintf("%#016x", d)
-		pt.DigestChecked = true
-	}
-	return pt, ok
-}
-
-// largePointSubprocess runs one cell in a fresh process and decodes its
-// result. Any subprocess failure kills the bench loudly — a silently
-// skipped point would read as a passing gate.
-func largePointSubprocess(req largePointReq) (LargeMeshPoint, bool) {
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench: large-point isolation:", err)
-		os.Exit(1)
-	}
-	b, _ := json.Marshal(req)
-	cmd := exec.Command(exe, "-large-point", string(b))
-	cmd.Stderr = os.Stderr
-	outB, err := cmd.Output()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: large-point subprocess (%dx%d w=%d): %v\n",
-			req.Width, req.Height, req.Workers, err)
-		os.Exit(1)
-	}
-	var resp largePointResp
-	if err := json.Unmarshal(outB, &resp); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: large-point subprocess output: %v\n", err)
-		os.Exit(1)
-	}
-	return resp.Point, resp.DigestOK
-}
-
-// measureLargeMesh runs the scaling matrix: every size at every worker
-// count, with the digest passes the size row asks for.
-func measureLargeMesh(sizes []largeMeshSize, workerSet []int) []LargeMeshPoint {
-	var out []LargeMeshPoint
-	for _, sz := range sizes {
-		var serialNs float64
-		var serialDigest string
-		for _, w := range workerSet {
-			req := largePointReq{
-				Width: sz.width, Height: sz.height,
-				Warmup: sz.warmup, Cycles: sz.cycles, Workers: w,
-			}
-			if sz.digestCycles > 0 && (w == 1 || sz.digestAllWorkers) {
-				req.DigestCycles = sz.digestCycles
-			}
-			var pt LargeMeshPoint
-			var digestOK bool
-			if isolateLargePoints {
-				pt, digestOK = largePointSubprocess(req)
-			} else {
-				pt, digestOK = runLargePoint(req)
-			}
-			if pt.DigestChecked {
-				if w == 1 {
-					serialDigest = pt.Digest
-				}
-				pt.DigestMatch = digestOK && pt.Digest == serialDigest
+// measureScaling runs every row at every worker count through run,
+// relating each point to its row's serial point.
+func measureScaling(rows []scalingRow, run func(cell) cellResult) []ScalingPoint {
+	var out []ScalingPoint
+	for _, row := range rows {
+		var serial ScalingPoint
+		for _, w := range row.workers {
+			c := row.cell(w)
+			res := run(c)
+			pt := ScalingPoint{
+				Scenario: res.Scenario, Workers: w,
+				SpeedupMeasurable: w <= runtime.GOMAXPROCS(0),
+				AllocBudget:       c.AllocBudget,
+				Digest:            res.Digest, DigestChecked: c.DigestCycles > 0,
 			}
 			if w == 1 {
-				serialNs = pt.NsPerCycle
+				serial = pt
 			}
-			pt.SerialNs = serialNs
-			pt.Speedup = serialNs / pt.NsPerCycle
-			pt.SpeedupMeasurable = w == 1 || runtime.GOMAXPROCS(0) >= w
-			fmt.Printf("%-32s w=%-2d %11.1f ns/cycle  %7.4f allocs/cycle  %7.1f MB resident  %9.1f B/router  digest=%s match=%v\n",
-				pt.Name, pt.Workers, pt.NsPerCycle, pt.AllocsPerCycle,
+			pt.SerialNs = serial.NsPerCycle
+			pt.Speedup = serial.NsPerCycle / pt.NsPerCycle
+			pt.DigestMatch = pt.DigestChecked && res.InvariantsOK && pt.Digest == serial.Digest
+			fmt.Printf("%-30s w=%-2d %11.1f ns/cycle  speedup %5.2fx  %7.4f allocs/cycle  %8.1f MB resident  %9.1f B/router  digest=%s match=%v\n",
+				pt.Name, w, pt.NsPerCycle, pt.Speedup, pt.AllocsPerCycle,
 				float64(pt.ResidentBytes)/1e6, pt.BytesPerRouter, pt.Digest, !pt.DigestChecked || pt.DigestMatch)
 			out = append(out, pt)
 		}
@@ -772,10 +733,21 @@ func measureLargeMesh(sizes []largeMeshSize, workerSet []int) []LargeMeshPoint {
 	return out
 }
 
-// buildReport runs the whole suite. Split from main so the smoke test
-// can drive it without exec'ing the binary. A non-empty traceOut saves
-// the merged Perfetto trace of the Workers=8 parity run.
-func buildReport(quick, large bool, traceOut string) Report {
+// miniatures are the scenarios section: the Fig. 4 and Fig. 6
+// miniatures, serial. The determinism rows are the first three, the
+// traced rows the two TDM ones at index 1 and 3.
+var miniatures = []spec{
+	{"fig4-ps-tornado-0.20", "fig4", 6, 6, hsnoc.PacketSwitched, hsnoc.Tornado, 0.20, 0, 0},
+	{"fig4-tdm-tornado-0.20", "fig4", 6, 6, hsnoc.HybridTDM, hsnoc.Tornado, 0.20, 0, 0},
+	{"fig4-tdm-uniform-0.35", "fig4", 6, 6, hsnoc.HybridTDM, hsnoc.UniformRandom, 0.35, 0, 0},
+	{"fig6-tdm-transpose-0.20", "fig6", 8, 8, hsnoc.HybridTDM, hsnoc.Transpose, 0.20, 0, 0},
+}
+
+// buildReport runs the whole suite, timing every scenario and scaling
+// cell through run: main passes runCellIsolated, tests pass runCell. A
+// non-empty traceOut saves the merged Perfetto trace of the Workers=8
+// parity run.
+func buildReport(quick, large bool, traceOut string, run func(cell) cellResult) Report {
 	warmup, cycles, digestCycles := 40000, 30000, 2000
 	if quick {
 		// Uniform traffic keeps discovering new source/destination pairs
@@ -784,21 +756,15 @@ func buildReport(quick, large bool, traceOut string) Report {
 		// transient leaking into the measured window.
 		warmup, cycles, digestCycles = 20000, 6000, 600
 	}
-	specs := []spec{
-		{"fig4-ps-tornado-0.20", "fig4", 6, 6, hsnoc.PacketSwitched, hsnoc.Tornado, 0.20, 0, 0},
-		{"fig4-tdm-tornado-0.20", "fig4", 6, 6, hsnoc.HybridTDM, hsnoc.Tornado, 0.20, 0, 0},
-		{"fig4-tdm-uniform-0.35", "fig4", 6, 6, hsnoc.HybridTDM, hsnoc.UniformRandom, 0.35, 0, 0},
-		{"fig6-tdm-transpose-0.20", "fig6", 8, 8, hsnoc.HybridTDM, hsnoc.Transpose, 0.20, 0, 0},
-	}
 	r := Report{
-		Schema:     "tdmnoc-bench/v4",
+		Schema:     "tdmnoc-bench/v5",
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Quick:      quick,
 		GeneratedA: time.Now().UTC().Format(time.RFC3339),
 	}
-	for _, sp := range specs {
-		sc := measure(sp, warmup, cycles)
+	for _, sp := range miniatures {
+		sc := run(cell{Spec: sp, Warmup: warmup, Cycles: cycles, AllocBudget: zeroAllocBudget}).Scenario
 		fmt.Printf("%-26s %9.1f ns/cycle  %7.4f allocs/cycle  %9.1f B/cycle\n",
 			sc.Name, sc.NsPerCycle, sc.AllocsPerCycle, sc.BytesPerCycle)
 		r.Scenarios = append(r.Scenarios, sc)
@@ -806,7 +772,7 @@ func buildReport(quick, large bool, traceOut string) Report {
 	// Tracing overhead: the fig4 and fig6 TDM miniatures re-run with the
 	// recorder attached (standard "flows" profile), each against its own
 	// untraced twin.
-	for _, tsp := range []spec{specs[1], specs[3]} {
+	for _, tsp := range []spec{miniatures[1], miniatures[3]} {
 		tr := measureTraced(tsp, warmup, cycles)
 		fmt.Printf("%-26s %9.1f ns/cycle traced (%+.1f%% vs untraced)  %7.4f allocs/cycle  %5.1f events/cycle  drops=%d\n",
 			tr.Name+"+obs", tr.NsPerCycle, 100*tr.OverheadFraction, tr.AllocsPerCycle, tr.EventsPerCycle, tr.RingDrops)
@@ -815,95 +781,38 @@ func buildReport(quick, large bool, traceOut string) Report {
 	// Traced parity: the same scenario traced at Workers {1, 4, 8} must
 	// export byte-identical traces and reproduce the untraced serial
 	// digest — the sharded recorder is a pure, worker-invariant observer.
-	par := checkParity(specs[1], digestCycles, traceOut)
+	par := checkParity(miniatures[1], digestCycles, traceOut)
 	for _, pt := range par.Points {
 		fmt.Printf("%-26s w=%d traced digest=%s match=%v trace_bytes=%d trace_match=%v drops=%d\n",
 			par.Name, pt.Workers, pt.Digest, pt.DigestMatch, pt.TraceBytes, pt.TraceMatch, pt.RingDrops)
 	}
 	r.Parity = append(r.Parity, par)
-	for _, sp := range specs[:3] { // digest checks cover the 6x6 set
+	for _, sp := range miniatures[:3] { // digest checks cover the 6x6 set
 		d := checkDigest(sp, digestCycles)
 		fmt.Printf("%-26s serial=%s workers4=%s match=%v\n", d.Name, d.SerialDigest, d.Workers4, d.Match)
 		r.Digests = append(r.Digests, d)
 	}
-	// Parallel scaling: the spin-barrier executor at 1/2/4/8 workers on a
-	// small and a large hybrid-TDM mesh. The 6x6 points document that
-	// parallelism does not pay below ~16x16; the 16x16 points carry the
-	// speedup gate. Every parallel point also re-derives the determinism
-	// digest so a scheduling bug cannot hide behind a fast wrong answer.
-	for _, base := range []spec{
-		{name: "scale-tdm-6x6-tornado-0.20", figure: "scaling", width: 6, height: 6,
-			mode: hsnoc.HybridTDM, pattern: hsnoc.Tornado, rate: 0.20},
-		{name: "scale-tdm-16x16-tornado-0.20", figure: "scaling", width: 16, height: 16,
-			mode: hsnoc.HybridTDM, pattern: hsnoc.Tornado, rate: 0.20},
-	} {
-		serialDigest, _ := digestRun(base, 1, digestCycles)
-		var serialNs float64
-		for _, w := range []int{1, 2, 4, 8} {
-			sp := base
-			sp.workers = w
-			sc := measure(sp, warmup, cycles)
-			if w == 1 {
-				serialNs = sc.NsPerCycle
-			}
-			match := true
-			if w > 1 {
-				d, ok := digestRun(base, w, digestCycles)
-				match = ok && d == serialDigest
-			}
-			pt := ParallelPoint{
-				Name: base.name, Width: base.width, Height: base.height, Workers: w,
-				NsPerCycle: sc.NsPerCycle, SerialNs: serialNs,
-				Speedup:        serialNs / sc.NsPerCycle,
-				AllocsPerCycle: sc.AllocsPerCycle,
-				DigestMatch:    match,
-				SpeedupMeasurable: w == 1 ||
-					runtime.GOMAXPROCS(0) >= w,
-			}
-			fmt.Printf("%-28s w=%d %9.1f ns/cycle  speedup %.2fx  %7.4f allocs/cycle  digest_match=%v\n",
-				pt.Name, pt.Workers, pt.NsPerCycle, pt.Speedup, pt.AllocsPerCycle, pt.DigestMatch)
-			r.Parallel = append(r.Parallel, pt)
-		}
-	}
-	// Large-mesh scaling matrix. Quick mode keeps CI honest with a short
-	// 32x32 pass (the zero-alloc and digest gates still apply); full
-	// runs add 64x64, and -large the 128x128 headline point. The worker
-	// sets match: {1, 8} for smoke, the full {1, 2, 4, 8, 16} matrix
-	// otherwise. Warmup windows are shorter than the miniatures' —
-	// tornado on a big mesh reaches its steady state quickly (the flow
-	// set is fixed and circuit churn is local), and a 40k-cycle warmup
-	// at 64x64 would cost more than the rest of the suite combined.
-	sizes := []largeMeshSize{{32, 32, 4000, 2000, 400, true}}
-	workerSet := []int{1, 2, 4, 8, 16}
-	if quick {
-		sizes = []largeMeshSize{{32, 32, 1500, 500, 400, true}}
-		workerSet = []int{1, 8}
-	} else {
-		sizes = append(sizes, largeMeshSize{64, 64, 2000, 1000, 400, false})
-		if large {
-			sizes = append(sizes, largeMeshSize{128, 128, 800, 400, 400, false})
-		}
-	}
-	r.LargeMesh = measureLargeMesh(sizes, workerSet)
+	r.Scaling = measureScaling(scalingTable(quick, large, warmup, cycles, digestCycles), run)
 	return r
 }
 
 // strictViolations lists why a report fails the -strict gate (empty =
 // pass). Hot-path allocation is gated on every Fig. 4 and Fig. 6
 // miniature — the packet pools scale with mesh area, so the 8x8
-// scenarios owe the same zero-alloc steady state as the 6x6 ones; the
-// determinism digests must match on every checked pair.
+// scenarios owe the same zero-alloc steady state as the 6x6 ones — and
+// on every scaling row with a budget; the determinism digests must match
+// on every checked pair.
 func strictViolations(r Report) []string {
 	var out []string
 	for _, sc := range r.Scenarios {
 		if !sc.HotPathZeroAlloc {
-			out = append(out, fmt.Sprintf("%s: %.4f allocs/cycle exceeds the zero-alloc budget %.2f",
+			out = append(out, fmt.Sprintf("%s: %.4f allocs/cycle exceeds the zero-alloc budget %.3f",
 				sc.Name, sc.AllocsPerCycle, zeroAllocBudget))
 		}
 	}
 	for _, tr := range r.Traced {
 		if !tr.TracedZeroAlloc {
-			out = append(out, fmt.Sprintf("%s (traced): %.4f allocs/cycle exceeds the zero-alloc budget %.2f",
+			out = append(out, fmt.Sprintf("%s (traced): %.4f allocs/cycle exceeds the zero-alloc budget %.3f",
 				tr.Name, tr.AllocsPerCycle, zeroAllocBudget))
 		}
 		if tr.OverheadFraction > tracedOverheadBudget {
@@ -944,24 +853,19 @@ func strictViolations(r Report) []string {
 			out = append(out, fmt.Sprintf("%s: runtime invariant violations detected", d.Name))
 		}
 	}
-	for _, p := range r.LargeMesh {
-		if !p.HotPathZeroAlloc {
+	for _, p := range r.Scaling {
+		if p.AllocBudget > 0 && p.AllocsPerCycle > p.AllocBudget {
 			out = append(out, fmt.Sprintf("%s w=%d: %.4f allocs/cycle exceeds the per-router zero-alloc budget %.3f",
-				p.Name, p.Workers, p.AllocsPerCycle, largeMeshAllocBudget(p.Width*p.Height)))
+				p.Name, p.Workers, p.AllocsPerCycle, p.AllocBudget))
 		}
 		if p.DigestChecked && !p.DigestMatch {
-			out = append(out, fmt.Sprintf("%s w=%d: large-mesh digest %s diverged from serial",
+			out = append(out, fmt.Sprintf("%s w=%d: checked digest %s diverged from serial or broke an invariant",
 				p.Name, p.Workers, p.Digest))
-		}
-	}
-	for _, p := range r.Parallel {
-		if !p.DigestMatch {
-			out = append(out, fmt.Sprintf("%s w=%d: determinism digest diverged from serial", p.Name, p.Workers))
 		}
 		// The headline acceptance point: 4 workers on the 16x16 mesh must
 		// be at least 2x faster than serial — but only on machines that
 		// can physically run 4 workers in parallel.
-		if p.Workers == 4 && p.Width >= 16 && p.SpeedupMeasurable && p.Speedup < 2.0 {
+		if p.Width == 16 && p.Workers == 4 && p.SpeedupMeasurable && p.Speedup < 2.0 {
 			out = append(out, fmt.Sprintf("%s w=%d: speedup %.2fx below the 2x floor", p.Name, p.Workers, p.Speedup))
 		}
 	}
@@ -998,52 +902,30 @@ func main() {
 	out := flag.String("o", "bench-report.json", "output JSON path")
 	quick := flag.Bool("quick", false, "short windows for CI smoke runs")
 	strict := flag.Bool("strict", false, "exit nonzero on hot-path allocations, traced overhead/ring drops, digest mismatch, or scaling-gate failure")
-	large := flag.Bool("large", false, "include the 128x128 large-mesh row (minutes of runtime, gigabytes of heap)")
+	large := flag.Bool("large", false, "include the 128x128 scaling row (minutes of runtime, gigabytes of heap)")
 	baseline := flag.String("baseline", "", "committed report to gate serial Fig. 4 ns/cycle regressions against")
 	maxRegress := flag.Float64("max-regression", 0.15, "allowed fractional ns/cycle regression vs -baseline")
 	traceOut := flag.String("trace-out", "", "write the merged Perfetto trace of the Workers=8 parity run to this file")
-	largePoint := flag.String("large-point", "", "internal: measure the one large-mesh cell described by this JSON request and print the result JSON (per-point process isolation)")
+	cellArg := flag.String("cell", "", "internal: run the one timed cell described by this JSON and print the result JSON (per-cell process isolation)")
 	flag.Parse()
 
-	if *largePoint != "" {
-		var req largePointReq
-		if err := json.Unmarshal([]byte(*largePoint), &req); err != nil {
-			fmt.Fprintln(os.Stderr, "bench: -large-point:", err)
-			os.Exit(1)
-		}
-		pt, ok := runLargePoint(req)
-		if err := json.NewEncoder(os.Stdout).Encode(largePointResp{Point: pt, DigestOK: ok}); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
+	if *cellArg != "" {
+		fatal(serveCell(*cellArg, os.Stdout))
 		return
 	}
-	isolateLargePoints = true
-
-	r := buildReport(*quick, *large, *traceOut)
+	r := buildReport(*quick, *large, *traceOut, runCellIsolated)
 	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
+	fatal(err)
+	fatal(os.WriteFile(*out, append(data, '\n'), 0o644))
 	fmt.Printf("wrote %s\n", *out)
 
 	fail := false
 	if *baseline != "" {
 		raw, err := os.ReadFile(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
+		fatal(err)
 		var base Report
 		if err := json.Unmarshal(raw, &base); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: parsing %s: %v\n", *baseline, err)
-			os.Exit(1)
+			fatal(fmt.Errorf("parsing %s: %w", *baseline, err))
 		}
 		for _, msg := range baselineViolations(r, base, *maxRegress) {
 			fmt.Fprintln(os.Stderr, "bench: REGRESSION:", msg)

@@ -2,39 +2,49 @@ package main
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"tdmnoc/hsnoc"
 )
 
+// TestMain lets the test binary stand in for the bench binary in the
+// -cell subprocess that runCellIsolated starts.
+func TestMain(m *testing.M) {
+	if len(os.Args) == 3 && os.Args[1] == "-cell" {
+		fatal(serveCell(os.Args[2], os.Stdout))
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
 // tinySpec is a scaled-down Fig. 4 configuration for schema tests: the
 // shape of the output is independent of the window lengths.
 var tinySpec = spec{
-	name: "smoke-tdm-tornado", figure: "fig4",
-	width: 4, height: 4,
-	mode: hsnoc.HybridTDM, pattern: hsnoc.Tornado, rate: 0.10,
+	Name: "smoke-tdm-tornado", Figure: "fig4",
+	Width: 4, Height: 4,
+	Mode: hsnoc.HybridTDM, Pattern: hsnoc.Tornado, Rate: 0.10,
 }
+
+// tinyRow is a 4x4 scaling row with a checked digest at workers {1, 2}.
+var tinyRow = scalingRow{4, 4, 200, 100, []int{1, 2}, 100, false, true}
 
 // TestReportJSONSchema drives the harness end to end on tiny windows and
 // checks the emitted JSON document carries every field a downstream
 // consumer (CI artifact diffing, EXPERIMENTS.md tables) keys on.
 func TestReportJSONSchema(t *testing.T) {
 	r := Report{
-		Schema:     "tdmnoc-bench/v4",
+		Schema:     "tdmnoc-bench/v5",
 		GoVersion:  "go-test",
 		GOMAXPROCS: 1,
 		Quick:      true,
 		GeneratedA: "2000-01-01T00:00:00Z",
-		Scenarios:  []Scenario{measure(tinySpec, 200, 100)},
+		Scenarios:  []Scenario{runCell(cell{Spec: tinySpec, Warmup: 200, Cycles: 100, AllocBudget: zeroAllocBudget}).Scenario},
 		Traced:     []TracedScenario{measureTraced(tinySpec, 200, 100)},
 		Parity:     []TracedParity{checkParity(tinySpec, 200, "")},
 		Digests:    []DigestCheck{checkDigest(tinySpec, 200)},
-		LargeMesh:  measureLargeMesh([]largeMeshSize{{4, 4, 200, 100, 100, true}}, []int{1, 2}),
-		Parallel: []ParallelPoint{{
-			Name: "smoke-scale", Width: 4, Height: 4, Workers: 2,
-			NsPerCycle: 1, SerialNs: 2, Speedup: 2,
-			DigestMatch: true, SpeedupMeasurable: true,
-		}},
+		Scaling:    measureScaling([]scalingRow{tinyRow}, runCell),
 	}
 	data, err := json.Marshal(r)
 	if err != nil {
@@ -45,12 +55,17 @@ func TestReportJSONSchema(t *testing.T) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if got := doc["schema"]; got != "tdmnoc-bench/v4" {
-		t.Fatalf("schema = %v, want tdmnoc-bench/v4", got)
+	if got := doc["schema"]; got != "tdmnoc-bench/v5" {
+		t.Fatalf("schema = %v, want tdmnoc-bench/v5", got)
 	}
-	for _, key := range []string{"go_version", "gomaxprocs", "quick", "generated_at", "scenarios", "traced_parity", "determinism", "parallel", "large_mesh"} {
+	for _, key := range []string{"go_version", "gomaxprocs", "quick", "generated_at", "scenarios", "traced", "traced_parity", "determinism", "scaling"} {
 		if _, ok := doc[key]; !ok {
 			t.Errorf("report missing top-level key %q", key)
+		}
+	}
+	for _, key := range []string{"parallel", "large_mesh"} {
+		if _, ok := doc[key]; ok {
+			t.Errorf("report still carries the v4 key %q", key)
 		}
 	}
 
@@ -142,19 +157,6 @@ func TestReportJSONSchema(t *testing.T) {
 		}
 	}
 
-	parallel, ok := doc["parallel"].([]any)
-	if !ok || len(parallel) != 1 {
-		t.Fatalf("parallel = %v, want one entry", doc["parallel"])
-	}
-	p := parallel[0].(map[string]any)
-	for _, key := range []string{
-		"name", "width", "height", "workers", "ns_per_cycle", "serial_ns_per_cycle",
-		"speedup", "allocs_per_cycle", "digest_match", "speedup_measurable",
-	} {
-		if _, ok := p[key]; !ok {
-			t.Errorf("parallel point missing key %q", key)
-		}
-	}
 	if d["match"] != true {
 		t.Errorf("serial digest %v != workers4 digest %v on the smoke config",
 			d["serial_digest"], d["workers4_digest"])
@@ -163,24 +165,27 @@ func TestReportJSONSchema(t *testing.T) {
 		t.Error("invariant violations on the smoke config")
 	}
 
-	largeMesh, ok := doc["large_mesh"].([]any)
-	if !ok || len(largeMesh) != 2 {
-		t.Fatalf("large_mesh = %v, want the {1,2} worker matrix", doc["large_mesh"])
+	scaling, ok := doc["scaling"].([]any)
+	if !ok || len(scaling) != 2 {
+		t.Fatalf("scaling = %v, want the {1,2} worker matrix", doc["scaling"])
 	}
-	for i, raw := range largeMesh {
-		lp := raw.(map[string]any)
+	for i, raw := range scaling {
+		sp := raw.(map[string]any)
 		for _, key := range []string{
 			"name", "width", "height", "workers", "ns_per_cycle", "allocs_per_cycle",
 			"resident_bytes", "bytes_per_router", "serial_ns_per_cycle", "speedup",
-			"speedup_measurable", "digest_checked", "digest_match",
+			"speedup_measurable", "alloc_budget", "digest", "digest_checked", "digest_match",
 		} {
-			if _, ok := lp[key]; !ok {
-				t.Errorf("large-mesh point %d missing key %q", i, key)
+			if _, ok := sp[key]; !ok {
+				t.Errorf("scaling point %d missing key %q", i, key)
 			}
 		}
-		if lp["digest_checked"] != true || lp["digest_match"] != true {
-			t.Errorf("large-mesh point %d: digest_checked=%v digest_match=%v on the smoke config",
-				i, lp["digest_checked"], lp["digest_match"])
+		if sp["digest_checked"] != true || sp["digest_match"] != true {
+			t.Errorf("scaling point %d: digest_checked=%v digest_match=%v on the smoke config",
+				i, sp["digest_checked"], sp["digest_match"])
+		}
+		if b := sp["alloc_budget"].(float64); b != routerAllocBudget(16) {
+			t.Errorf("scaling point %d: alloc_budget = %v, want %v", i, b, routerAllocBudget(16))
 		}
 	}
 }
@@ -248,25 +253,63 @@ func TestStrictTracedGates(t *testing.T) {
 	}
 }
 
-// TestStrictParallelGates pins the scaling-section gate logic: digest
-// divergence always fails; a sub-2x speedup at 4 workers fails only on
-// a 16x16-or-larger mesh AND only when the machine has the cores.
-func TestStrictParallelGates(t *testing.T) {
-	cases := []struct {
-		p    ParallelPoint
-		want int
-	}{
-		{ParallelPoint{Workers: 4, Width: 16, Speedup: 2.4, DigestMatch: true, SpeedupMeasurable: true}, 0},
-		{ParallelPoint{Workers: 4, Width: 16, Speedup: 1.4, DigestMatch: true, SpeedupMeasurable: true}, 1},
-		{ParallelPoint{Workers: 4, Width: 16, Speedup: 1.4, DigestMatch: true, SpeedupMeasurable: false}, 0},
-		{ParallelPoint{Workers: 4, Width: 6, Speedup: 0.4, DigestMatch: true, SpeedupMeasurable: true}, 0},
-		{ParallelPoint{Workers: 2, Width: 16, Speedup: 1.1, DigestMatch: false, SpeedupMeasurable: true}, 1},
-	}
-	for i, c := range cases {
-		if v := strictViolations(Report{Parallel: []ParallelPoint{c.p}}); len(v) != c.want {
-			t.Errorf("case %d: violations = %v, want %d", i, v, c.want)
+// scalingGateCase is one single-row scaling[] report and the number of
+// strictViolations it must produce.
+type scalingGateCase struct {
+	name                  string
+	width, workers        int
+	speedup               float64
+	cores, checked, match bool
+	budget, allocs        float64
+	want                  int
+}
+
+func checkScalingGates(t *testing.T, cases []scalingGateCase) {
+	t.Helper()
+	for _, c := range cases {
+		p := ScalingPoint{
+			Scenario: Scenario{Name: "s", Width: c.width, Height: c.width, AllocsPerCycle: c.allocs},
+			Workers:  c.workers, Speedup: c.speedup, SpeedupMeasurable: c.cores,
+			AllocBudget: c.budget, DigestChecked: c.checked, DigestMatch: c.match,
+		}
+		if v := strictViolations(Report{Scaling: []ScalingPoint{p}}); len(v) != c.want {
+			t.Errorf("%s: violations = %v, want %d", c.name, v, c.want)
 		}
 	}
+}
+
+// TestStrictParallelGates pins the gate logic of the miniature-sized
+// scaling rows (6x6 and 16x16, a checked run at every worker count):
+// digest divergence fails; a sub-2x speedup at 4 workers fails only on
+// the 16x16 mesh AND only when the machine has the cores; the 6x6 rows
+// are alloc-gated at their budget and the 16x16 rows are not.
+func TestStrictParallelGates(t *testing.T) {
+	checkScalingGates(t, []scalingGateCase{
+		{"16x16 w=4 at 2.4x", 16, 4, 2.4, true, true, true, 0, 0, 0},
+		{"16x16 w=4 at 1.4x", 16, 4, 1.4, true, true, true, 0, 0, 1},
+		{"16x16 w=4 at 1.4x without the cores", 16, 4, 1.4, false, true, true, 0, 0, 0},
+		{"6x6 w=4 at 0.4x", 6, 4, 0.4, true, true, true, 0, 0, 0},
+		{"16x16 w=2 digest diverged", 16, 2, 1.1, true, true, false, 0, 0, 1},
+		{"6x6 within its 0.036 budget", 6, 2, 1, true, true, true, routerAllocBudget(36), 0.0065, 0},
+		{"6x6 over its 0.036 budget", 6, 2, 1, true, true, true, routerAllocBudget(36), 0.05, 1},
+		{"16x16 ungated at 8.2 allocs/cycle", 16, 1, 1, true, true, true, 0, 8.2, 0},
+	})
+}
+
+// TestStrictLargeMeshGates pins the gate logic of the 32x32-and-larger
+// scaling rows: each row fails above its per-router alloc budget; digest
+// divergence fails only where a checked run actually ran (the bigger
+// sizes record a serial digest but skip the per-worker matrix); the 2x
+// speedup floor does not reach them.
+func TestStrictLargeMeshGates(t *testing.T) {
+	checkScalingGates(t, []scalingGateCase{
+		{"32x32 w=4 below 2x", 32, 4, 1.2, true, true, true, 0, 0, 0},
+		{"64x64 w=4 below 2x", 64, 4, 1.2, true, false, false, 0, 0, 0},
+		{"32x32 w=1 clean", 32, 1, 1, true, true, true, routerAllocBudget(1024), 0.1, 0},
+		{"64x64 w=8 without a checked run", 64, 8, 1, false, false, false, routerAllocBudget(4096), 0.1, 0},
+		{"32x32 w=1 over budget", 32, 1, 1, true, true, true, zeroAllocBudget, 0.3, 1},
+		{"32x32 w=8 digest diverged", 32, 8, 1, false, true, false, routerAllocBudget(1024), 0, 1},
+	})
 }
 
 // TestBaselineViolations pins the -baseline regression gate: only
@@ -292,24 +335,57 @@ func TestBaselineViolations(t *testing.T) {
 	}
 }
 
-// TestStrictLargeMeshGates pins the large-mesh gate logic: every point
-// is gated on the zero-alloc budget; digest divergence fails only where
-// a digest pass actually ran (the bigger sizes record a serial digest
-// but skip the per-worker matrix).
-func TestStrictLargeMeshGates(t *testing.T) {
-	clean := Report{LargeMesh: []LargeMeshPoint{
-		{Scenario: Scenario{Name: "a", HotPathZeroAlloc: true}, Workers: 1, DigestChecked: true, DigestMatch: true},
-		{Scenario: Scenario{Name: "a", HotPathZeroAlloc: true}, Workers: 8},
-	}}
-	if v := strictViolations(clean); len(v) != 0 {
-		t.Fatalf("clean large-mesh report flagged: %v", v)
+// TestBaselineFromCommittedReport loads the committed v3 BENCH_PR8.json
+// the way -baseline does and compares a v5 report against it: every
+// miniature must find its baseline row, and only the Fig. 4 rows gate.
+func TestBaselineFromCommittedReport(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_PR8.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad := Report{LargeMesh: []LargeMeshPoint{
-		{Scenario: Scenario{Name: "a", AllocsPerCycle: 0.3}, Workers: 1},
-		{Scenario: Scenario{Name: "a", HotPathZeroAlloc: true}, Workers: 8, DigestChecked: true, DigestMatch: false},
-	}}
-	if v := strictViolations(bad); len(v) != 2 {
-		t.Fatalf("violations = %v, want the alloc + digest entries", v)
+	var base Report
+	if err := json.Unmarshal(raw, &base); err != nil {
+		t.Fatalf("BENCH_PR8.json no longer parses as a baseline: %v", err)
+	}
+	baseNs := map[string]float64{}
+	for _, sc := range base.Scenarios {
+		baseNs[sc.Name] = sc.NsPerCycle
+	}
+	now := Report{Schema: "tdmnoc-bench/v5"}
+	for _, sp := range miniatures {
+		ns := baseNs[sp.Name]
+		if ns <= 0 {
+			t.Fatalf("miniature %s has no baseline row in BENCH_PR8.json", sp.Name)
+		}
+		now.Scenarios = append(now.Scenarios, Scenario{Name: sp.Name, Figure: sp.Figure, NsPerCycle: 1.1 * ns})
+	}
+	if v := baselineViolations(now, base, 0.15); len(v) != 0 {
+		t.Fatalf("+10%% flagged against a 15%% budget: %v", v)
+	}
+	for i := range now.Scenarios {
+		now.Scenarios[i].NsPerCycle *= 2
+	}
+	if v := baselineViolations(now, base, 0.15); len(v) != 3 {
+		t.Fatalf("violations = %v, want one per Fig. 4 miniature", v)
+	}
+}
+
+// TestCellSubprocess runs a scaling cell through the real -cell
+// subprocess path and checks that it reproduces the inline run.
+func TestCellSubprocess(t *testing.T) {
+	c := tinyRow.cell(2)
+	iso, inline := runCellIsolated(c), runCell(c)
+	if iso.Digest == "" || iso.Digest != inline.Digest || !iso.InvariantsOK {
+		t.Fatalf("isolated digest %q (invariants ok %v) != inline %q", iso.Digest, iso.InvariantsOK, inline.Digest)
+	}
+	// Everything but the host-dependent measurements must round-trip.
+	host := func(s Scenario) Scenario {
+		s.NsPerCycle, s.AllocsPerCycle, s.BytesPerCycle, s.BytesPerRouter = 0, 0, 0, 0
+		s.ResidentBytes, s.HotPathZeroAlloc = 0, false
+		return s
+	}
+	if iso.Scenario.NsPerCycle <= 0 || host(iso.Scenario) != host(inline.Scenario) {
+		t.Fatalf("isolated scenario %+v, inline %+v", iso.Scenario, inline.Scenario)
 	}
 }
 
@@ -324,11 +400,11 @@ func TestHotPathAllocationFree(t *testing.T) {
 		t.Skip("warmup window too long for -short")
 	}
 	sp := spec{
-		name: "alloc-check", figure: "fig4",
-		width: 6, height: 6,
-		mode: hsnoc.HybridTDM, pattern: hsnoc.Tornado, rate: 0.20,
+		Name: "alloc-check", Figure: "fig4",
+		Width: 6, Height: 6,
+		Mode: hsnoc.HybridTDM, Pattern: hsnoc.Tornado, Rate: 0.20,
 	}
-	s := hsnoc.NewSynthetic(specConfig(sp), sp.pattern, sp.rate)
+	s := hsnoc.NewSynthetic(specConfig(sp), sp.Pattern, sp.Rate)
 	defer s.Close()
 	s.Warmup(40000)
 

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"tdmnoc/internal/campaign"
 	"tdmnoc/internal/fleet"
 	"tdmnoc/internal/obs"
+	"tdmnoc/internal/promtext"
 )
 
 // server owns the campaign registry. Each submitted campaign gets its
@@ -517,48 +519,41 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprintf(w, "# HELP nocsimd_jobs_queued Jobs waiting for a worker.\n# TYPE nocsimd_jobs_queued gauge\nnocsimd_jobs_queued %d\n", total.Queued)
-	fmt.Fprintf(w, "# HELP nocsimd_jobs_running Jobs currently simulating.\n# TYPE nocsimd_jobs_running gauge\nnocsimd_jobs_running %d\n", total.Running)
-	fmt.Fprintf(w, "# HELP nocsimd_jobs_done Jobs completed (including cache hits).\n# TYPE nocsimd_jobs_done counter\nnocsimd_jobs_done %d\n", total.Done)
-	fmt.Fprintf(w, "# HELP nocsimd_jobs_failed Jobs failed, timed out, or skipped.\n# TYPE nocsimd_jobs_failed counter\nnocsimd_jobs_failed %d\n", total.Failed)
-	fmt.Fprintf(w, "# HELP nocsimd_cache_hits Jobs served from the result cache.\n# TYPE nocsimd_cache_hits counter\nnocsimd_cache_hits %d\n", total.CacheHits)
-	fmt.Fprintf(w, "# HELP nocsimd_cycles_simulated Total simulated cycles (warmup + measured).\n# TYPE nocsimd_cycles_simulated counter\nnocsimd_cycles_simulated %d\n", total.CyclesSimulated)
-	fmt.Fprintf(w, "# HELP nocsimd_invariant_violations Runtime invariant violations detected in checked jobs.\n# TYPE nocsimd_invariant_violations counter\nnocsimd_invariant_violations %d\n", total.Violations)
-	fmt.Fprintf(w, "# HELP nocsimd_campaigns_total Campaigns submitted since start.\n# TYPE nocsimd_campaigns_total counter\nnocsimd_campaigns_total %d\n", campaigns)
-	fmt.Fprintf(w, "# HELP nocsimd_campaigns_running Campaigns still executing.\n# TYPE nocsimd_campaigns_running gauge\nnocsimd_campaigns_running %d\n", running)
-	fmt.Fprintf(w, "# HELP nocsimd_jobs_inflight Jobs admitted but not finished (queued + running).\n# TYPE nocsimd_jobs_inflight gauge\nnocsimd_jobs_inflight %d\n", total.Queued+total.Running)
-	fmt.Fprintf(w, "# HELP nocsimd_telemetry_jobs Jobs run with per-job observability attached.\n# TYPE nocsimd_telemetry_jobs counter\nnocsimd_telemetry_jobs %d\n", telem.Jobs)
-	fmt.Fprintf(w, "# HELP nocsimd_slot_steals_total Time-slot steals observed by telemetry jobs.\n# TYPE nocsimd_slot_steals_total counter\nnocsimd_slot_steals_total %d\n", telem.SlotSteals)
-	fmt.Fprintf(w, "# HELP nocsimd_telemetry_dropped_windows_total Telemetry windows evicted past MaxSamples (timelines truncated at the head).\n# TYPE nocsimd_telemetry_dropped_windows_total counter\nnocsimd_telemetry_dropped_windows_total %d\n", telem.DroppedWindows)
-	fmt.Fprintf(w, "# HELP nocsimd_telemetry_ring_drops_total Telemetry events dropped by full per-worker rings (sampled traces have gaps).\n# TYPE nocsimd_telemetry_ring_drops_total counter\nnocsimd_telemetry_ring_drops_total %d\n", telem.RingDrops)
+	promtext.Gauge(w, "nocsimd_jobs_queued", "Jobs waiting for a worker.", total.Queued)
+	promtext.Gauge(w, "nocsimd_jobs_running", "Jobs currently simulating.", total.Running)
+	promtext.Counter(w, "nocsimd_jobs_done", "Jobs completed (including cache hits).", total.Done)
+	promtext.Counter(w, "nocsimd_jobs_failed", "Jobs failed, timed out, or skipped.", total.Failed)
+	promtext.Counter(w, "nocsimd_cache_hits", "Jobs served from the result cache.", total.CacheHits)
+	promtext.Counter(w, "nocsimd_cycles_simulated", "Total simulated cycles (warmup + measured).", total.CyclesSimulated)
+	promtext.Counter(w, "nocsimd_invariant_violations", "Runtime invariant violations detected in checked jobs.", total.Violations)
+	promtext.Counter(w, "nocsimd_campaigns_total", "Campaigns submitted since start.", campaigns)
+	promtext.Gauge(w, "nocsimd_campaigns_running", "Campaigns still executing.", running)
+	promtext.Gauge(w, "nocsimd_jobs_inflight", "Jobs admitted but not finished (queued + running).", total.Queued+total.Running)
+	promtext.Counter(w, "nocsimd_telemetry_jobs", "Jobs run with per-job observability attached.", telem.Jobs)
+	promtext.Counter(w, "nocsimd_slot_steals_total", "Time-slot steals observed by telemetry jobs.", telem.SlotSteals)
+	promtext.Counter(w, "nocsimd_telemetry_dropped_windows_total", "Telemetry windows evicted past MaxSamples (timelines truncated at the head).", telem.DroppedWindows)
+	promtext.Counter(w, "nocsimd_telemetry_ring_drops_total", "Telemetry events dropped by full per-worker rings (sampled traces have gaps).", telem.RingDrops)
 	if len(telem.RingDropsByShard) > 0 {
-		fmt.Fprintf(w, "# HELP nocsimd_telemetry_ring_drops Telemetry ring drops by worker shard.\n# TYPE nocsimd_telemetry_ring_drops counter\n")
+		promtext.Header(w, "nocsimd_telemetry_ring_drops", "Telemetry ring drops by worker shard.", "counter")
 		for i, d := range telem.RingDropsByShard {
-			fmt.Fprintf(w, "nocsimd_telemetry_ring_drops{shard=\"%d\"} %d\n", i, d)
+			promtext.Sample(w, "nocsimd_telemetry_ring_drops", "shard", strconv.Itoa(i), d)
 		}
 	}
-	fmt.Fprintf(w, "# HELP nocsimd_setup_latency_cycles Circuit setup round-trip latency observed by telemetry jobs.\n# TYPE nocsimd_setup_latency_cycles histogram\n")
-	cum := uint64(0)
-	for i, le := range telem.BucketLE {
-		cum += telem.Buckets[i]
-		fmt.Fprintf(w, "nocsimd_setup_latency_cycles_bucket{le=\"%d\"} %d\n", le, cum)
-	}
-	fmt.Fprintf(w, "nocsimd_setup_latency_cycles_bucket{le=\"+Inf\"} %d\n", telem.SetupCount)
-	fmt.Fprintf(w, "nocsimd_setup_latency_cycles_sum %d\n", telem.SetupSum)
-	fmt.Fprintf(w, "nocsimd_setup_latency_cycles_count %d\n", telem.SetupCount)
+	promtext.Histogram(w, "nocsimd_setup_latency_cycles", "Circuit setup round-trip latency observed by telemetry jobs.",
+		telem.BucketLE, telem.Buckets, telem.SetupSum, telem.SetupCount)
 	draining := 0
 	if s.draining.Load() {
 		draining = 1
 	}
-	fmt.Fprintf(w, "# HELP nocsimd_draining Whether this instance is draining (1 = refusing new submits).\n# TYPE nocsimd_draining gauge\nnocsimd_draining %d\n", draining)
+	promtext.Gauge(w, "nocsimd_draining", "Whether this instance is draining (1 = refusing new submits).", draining)
 	if s.coord != nil {
 		s.coord.WriteMetrics(w)
 	}
 	if s.fworker != nil {
-		fmt.Fprintf(w, "# HELP nocsimd_worker_shards_done Fleet shards completed by this worker.\n# TYPE nocsimd_worker_shards_done counter\nnocsimd_worker_shards_done %d\n", s.fworker.ShardsDone.Load())
-		fmt.Fprintf(w, "# HELP nocsimd_worker_shards_failed Fleet shards abandoned by this worker.\n# TYPE nocsimd_worker_shards_failed counter\nnocsimd_worker_shards_failed %d\n", s.fworker.ShardsFailed.Load())
-		fmt.Fprintf(w, "# HELP nocsimd_worker_jobs_run Fleet jobs executed by this worker.\n# TYPE nocsimd_worker_jobs_run counter\nnocsimd_worker_jobs_run %d\n", s.fworker.JobsRun.Load())
-		fmt.Fprintf(w, "# HELP nocsimd_worker_lease_errors Failed lease pulls (coordinator unreachable).\n# TYPE nocsimd_worker_lease_errors counter\nnocsimd_worker_lease_errors %d\n", s.fworker.LeaseErrors.Load())
+		promtext.Counter(w, "nocsimd_worker_shards_done", "Fleet shards completed by this worker.", s.fworker.ShardsDone.Load())
+		promtext.Counter(w, "nocsimd_worker_shards_failed", "Fleet shards abandoned by this worker.", s.fworker.ShardsFailed.Load())
+		promtext.Counter(w, "nocsimd_worker_jobs_run", "Fleet jobs executed by this worker.", s.fworker.JobsRun.Load())
+		promtext.Counter(w, "nocsimd_worker_lease_errors", "Failed lease pulls (coordinator unreachable).", s.fworker.LeaseErrors.Load())
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+
+	"tdmnoc/internal/promtext"
 )
 
 // Register mounts the coordinator's wire protocol on mux under
@@ -183,43 +185,45 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 // running as a coordinator.
 func (c *Coordinator) WriteMetrics(w io.Writer) {
 	m := c.Metrics()
-	fmt.Fprintf(w, "# HELP fleet_campaigns_total Campaigns admitted since start.\n# TYPE fleet_campaigns_total counter\nfleet_campaigns_total %d\n", m.CampaignsTotal)
-	fmt.Fprintf(w, "# HELP fleet_campaigns_running Campaigns with unfinished shards.\n# TYPE fleet_campaigns_running gauge\nfleet_campaigns_running %d\n", m.CampaignsRunning)
-	fmt.Fprintf(w, "# HELP fleet_queue_depth Shards awaiting lease.\n# TYPE fleet_queue_depth gauge\nfleet_queue_depth %d\n", m.QueueDepth)
-	fmt.Fprintf(w, "# HELP fleet_leases_active Shards currently leased to workers.\n# TYPE fleet_leases_active gauge\nfleet_leases_active %d\n", m.LeasesActive)
-	fmt.Fprintf(w, "# HELP fleet_leases_expired_total Leases expired and re-queued.\n# TYPE fleet_leases_expired_total counter\nfleet_leases_expired_total %d\n", m.LeasesExpired)
-	fmt.Fprintf(w, "# HELP fleet_submits_rejected_total Submits rejected by quota or drain.\n# TYPE fleet_submits_rejected_total counter\nfleet_submits_rejected_total %d\n", m.SubmitsRejected)
-	fmt.Fprintf(w, "# HELP fleet_jobs_completed_total Jobs whose records landed.\n# TYPE fleet_jobs_completed_total counter\nfleet_jobs_completed_total %d\n", m.JobsCompleted)
-	fmt.Fprintf(w, "# HELP fleet_jobs_failed_total Job failures reported by workers.\n# TYPE fleet_jobs_failed_total counter\nfleet_jobs_failed_total %d\n", m.JobsFailed)
-	fmt.Fprintf(w, "# HELP fleet_records_persisted_total Records written to the sharded store.\n# TYPE fleet_records_persisted_total counter\nfleet_records_persisted_total %d\n", m.RecordsPersisted)
-	fmt.Fprintf(w, "# HELP fleet_records_duplicate_total Completion records deduped by the store.\n# TYPE fleet_records_duplicate_total counter\nfleet_records_duplicate_total %d\n", m.RecordsDuplicate)
-	fmt.Fprintf(w, "# HELP fleet_store_shards_compacted_total Store shard files rewritten by compaction.\n# TYPE fleet_store_shards_compacted_total counter\nfleet_store_shards_compacted_total %d\n", m.ShardsCompacted)
-	fmt.Fprintf(w, "# HELP fleet_store_live_records Live records across store shards.\n# TYPE fleet_store_live_records gauge\nfleet_store_live_records %d\n", m.StoreLive)
-	fmt.Fprintf(w, "# HELP fleet_store_dead_lines Dead lines awaiting compaction.\n# TYPE fleet_store_dead_lines gauge\nfleet_store_dead_lines %d\n", m.StoreDead)
+	promtext.Counter(w, "fleet_campaigns_total", "Campaigns admitted since start.", m.CampaignsTotal)
+	promtext.Gauge(w, "fleet_campaigns_running", "Campaigns with unfinished shards.", m.CampaignsRunning)
+	promtext.Gauge(w, "fleet_queue_depth", "Shards awaiting lease.", m.QueueDepth)
+	promtext.Gauge(w, "fleet_leases_active", "Shards currently leased to workers.", m.LeasesActive)
+	promtext.Counter(w, "fleet_leases_expired_total", "Leases expired and re-queued.", m.LeasesExpired)
+	promtext.Counter(w, "fleet_submits_rejected_total", "Submits rejected by quota or drain.", m.SubmitsRejected)
+	promtext.Counter(w, "fleet_jobs_completed_total", "Jobs whose records landed.", m.JobsCompleted)
+	promtext.Counter(w, "fleet_jobs_failed_total", "Job failures reported by workers.", m.JobsFailed)
+	promtext.Counter(w, "fleet_records_persisted_total", "Records written to the sharded store.", m.RecordsPersisted)
+	promtext.Counter(w, "fleet_records_duplicate_total", "Completion records deduped by the store.", m.RecordsDuplicate)
+	promtext.Counter(w, "fleet_store_shards_compacted_total", "Store shard files rewritten by compaction.", m.ShardsCompacted)
+	promtext.Gauge(w, "fleet_store_live_records", "Live records across store shards.", m.StoreLive)
+	promtext.Gauge(w, "fleet_store_dead_lines", "Dead lines awaiting compaction.", m.StoreDead)
 	writeTenantGauge(w, "fleet_tenant_inflight_jobs", "Leased jobs per tenant.", m.TenantInflight)
 	writeTenantGauge(w, "fleet_tenant_queued_jobs", "Queued jobs per tenant.", m.TenantQueued)
-	fmt.Fprintf(w, "# HELP fleet_accounting_underflow_total Tenant usage updates clamped at zero (accounting bug indicator).\n# TYPE fleet_accounting_underflow_total counter\nfleet_accounting_underflow_total %d\n", m.AccountingUnderflow)
+	promtext.Counter(w, "fleet_accounting_underflow_total", "Tenant usage updates clamped at zero (accounting bug indicator).", m.AccountingUnderflow)
 	enabled := 0
 	if m.JournalEnabled {
 		enabled = 1
 	}
-	fmt.Fprintf(w, "# HELP fleet_journal_enabled Whether a write-ahead journal is configured.\n# TYPE fleet_journal_enabled gauge\nfleet_journal_enabled %d\n", enabled)
-	fmt.Fprintf(w, "# HELP fleet_journal_records_total Journal records appended since start.\n# TYPE fleet_journal_records_total counter\nfleet_journal_records_total %d\n", m.JournalRecords)
-	fmt.Fprintf(w, "# HELP fleet_journal_syncs_total Journal fsyncs.\n# TYPE fleet_journal_syncs_total counter\nfleet_journal_syncs_total %d\n", m.JournalSyncs)
-	fmt.Fprintf(w, "# HELP fleet_journal_rotations_total Journal snapshot rotations.\n# TYPE fleet_journal_rotations_total counter\nfleet_journal_rotations_total %d\n", m.JournalRotations)
-	fmt.Fprintf(w, "# HELP fleet_journal_errors_total Journal append or rotation failures.\n# TYPE fleet_journal_errors_total counter\nfleet_journal_errors_total %d\n", m.JournalErrors)
-	fmt.Fprintf(w, "# HELP fleet_journal_size_bytes Current journal file size.\n# TYPE fleet_journal_size_bytes gauge\nfleet_journal_size_bytes %d\n", m.JournalSizeBytes)
-	fmt.Fprintf(w, "# HELP fleet_journal_replayed_records Journal records replayed at startup.\n# TYPE fleet_journal_replayed_records gauge\nfleet_journal_replayed_records %d\n", m.JournalReplayed)
+	promtext.Gauge(w, "fleet_journal_enabled", "Whether a write-ahead journal is configured.", enabled)
+	promtext.Counter(w, "fleet_journal_records_total", "Journal records appended since start.", m.JournalRecords)
+	promtext.Counter(w, "fleet_journal_syncs_total", "Journal fsyncs.", m.JournalSyncs)
+	promtext.Counter(w, "fleet_journal_rotations_total", "Journal snapshot rotations.", m.JournalRotations)
+	promtext.Counter(w, "fleet_journal_errors_total", "Journal append or rotation failures.", m.JournalErrors)
+	promtext.Gauge(w, "fleet_journal_size_bytes", "Current journal file size.", m.JournalSizeBytes)
+	promtext.Gauge(w, "fleet_journal_replayed_records", "Journal records replayed at startup.", m.JournalReplayed)
 }
 
+// writeTenantGauge writes one gauge family with a series per tenant,
+// in tenant-name order so scrapes are stable.
 func writeTenantGauge(w io.Writer, name, help string, counts map[string]int) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
+	promtext.Header(w, name, help, "gauge")
 	tenants := make([]string, 0, len(counts))
 	for t := range counts {
 		tenants = append(tenants, t)
 	}
 	sort.Strings(tenants)
 	for _, t := range tenants {
-		fmt.Fprintf(w, "%s{tenant=%q} %d\n", name, t, counts[t])
+		promtext.Sample(w, name, "tenant", t, counts[t])
 	}
 }
